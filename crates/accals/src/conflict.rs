@@ -8,8 +8,10 @@
 //! - **Type 2**: a substitute node of one is the target node of the
 //!   other (applying the latter removes the substitute).
 
+use aig::NodeId;
 use lac::ScoredLac;
 use misolver::Graph;
+use std::collections::HashSet;
 
 /// Builds the LAC conflict graph: one vertex per LAC in `l_top` (in
 /// order), an edge for every Type-1 or Type-2 conflict. Vertex weights
@@ -36,21 +38,35 @@ pub fn conflict_graph(l_top: &[ScoredLac]) -> Graph {
 /// `l_top` must already be sorted by ascending `ΔE` (as produced by
 /// [`crate::topset::obtain_top_set`]); the traversal preserves that
 /// order, so the result is also sorted.
+///
+/// The result is the greedy over [`conflict_graph`], found without
+/// building it: a LAC conflicts with a kept one exactly when its target
+/// is a kept target (Type 1) or a kept substitute, or one of its
+/// substitutes is a kept target (Type 2). One pass over `l_top` against
+/// the kept-target and kept-substitute sets is O(r_top) instead of
+/// O(r_top²).
 pub fn find_solve_conflicts(l_top: &[ScoredLac]) -> Vec<ScoredLac> {
-    let graph = conflict_graph(l_top);
-    let mut selected: Vec<usize> = Vec::new();
-    for i in 0..l_top.len() {
-        if selected.iter().all(|&j| !graph.has_edge(i, j)) {
-            selected.push(i);
+    let mut kept_tns: HashSet<NodeId> = HashSet::new();
+    let mut kept_sns: HashSet<NodeId> = HashSet::new();
+    let mut selected = Vec::new();
+    for s in l_top {
+        let tn = s.lac.tn;
+        if kept_tns.contains(&tn)
+            || kept_sns.contains(&tn)
+            || s.lac.sns().any(|sn| kept_tns.contains(&sn))
+        {
+            continue;
         }
+        kept_tns.insert(tn);
+        kept_sns.extend(s.lac.sns());
+        selected.push(s.clone());
     }
-    selected.into_iter().map(|i| l_top[i].clone()).collect()
+    selected
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aig::NodeId;
     use lac::{Lac, LacKind};
 
     fn wire(sn: usize, tn: usize, delta_e: f64) -> ScoredLac {

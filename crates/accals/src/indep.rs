@@ -2,7 +2,7 @@
 //! `G_sol`, and the MIS-based selection of a likely-independent LAC set
 //! (Section II-D).
 
-use aig::cone::{shortest_forward_distances, tfo_mask, BitMask};
+use aig::cone::{tfo_mask, BitMask};
 use aig::{Aig, Fanouts, NodeId};
 use lac::ScoredLac;
 use misolver::{solve, Graph, MisStrategy};
@@ -35,10 +35,28 @@ pub fn influence_index(
 /// vertices are TNs, and an edge connects two TNs whose influence index
 /// exceeds `t_b` (meaning their LACs are *likely dependent*).
 ///
+/// The graph equals the one [`influence_index`] defines over full
+/// shortest-distance vectors, without materialising them:
+///
+/// - whether `later` is reachable from `earlier` is the TFO bit;
+/// - a reachable pair at distance `d` is an edge iff `1/d > t_b`, which
+///   holds exactly for `d <= max_hops`, the largest such `d`; so only the
+///   nodes within `max_hops` forward hops of each TN are collected, and
+///   none when every possible distance qualifies;
+/// - `|F(l)|` is counted once per TN rather than once per pair.
+///
+/// Memory is two node bitsets per TN instead of one `Option<u32>` per
+/// node per TN.
+///
 /// # Panics
 ///
 /// Panics if the graph is cyclic.
 pub fn build_influence_graph(aig: &Aig, tns: &[NodeId], t_b: f64) -> Graph {
+    let k = tns.len();
+    let mut g = Graph::new(k);
+    if k < 2 {
+        return g;
+    }
     let pool = parkit::global();
     let fanouts = Fanouts::build(aig);
     let order = aig.topo_order().expect("acyclic");
@@ -48,17 +66,14 @@ pub fn build_influence_graph(aig: &Aig, tns: &[NodeId], t_b: f64) -> Graph {
     }
     // The per-TN cone passes are independent; compute them in parallel.
     let tfos: Vec<BitMask> = pool.par_map_collect(tns, |_, &n| tfo_mask(aig, &fanouts, n));
-    let dists: Vec<Vec<Option<u32>>> =
-        pool.par_map_collect(tns, |_, &n| shortest_forward_distances(aig, &fanouts, n));
+    let tfo_sizes: Vec<usize> = tfos.iter().map(|m| m.count().max(1)).collect();
+    let hops = max_hops(t_b, aig.n_nodes());
+    let near: Vec<BitMask> = match hops {
+        Some(h) => pool.par_map_collect(tns, |_, &n| within_hops(aig, &fanouts, n, h)),
+        None => Vec::new(),
+    };
 
-    let k = tns.len();
-    let mut g = Graph::new(k);
-    if k < 2 {
-        return g;
-    }
-    // The O(k²) pairwise scan, chunked by row. Edges come back in row
-    // order per chunk and chunks in order, so the insertion sequence —
-    // and therefore the graph — matches the serial double loop.
+    // The O(k²) pairwise scan, chunked by row.
     let chunk = k.div_ceil((pool.threads() * 4).max(1)).max(1);
     let edge_chunks = pool.par_chunk_results(k, chunk, |_, rows| {
         let mut edges: Vec<(usize, usize)> = Vec::new();
@@ -69,8 +84,16 @@ pub fn build_influence_graph(aig: &Aig, tns: &[NodeId], t_b: f64) -> Graph {
                 } else {
                     (j, i)
                 };
-                let p = influence_index(&dists[e], &tfos[e], &tfos[l], tns[l]);
-                if p > t_b {
+                let later = tns[l].index();
+                let dependent = if tns[e] == tns[l] {
+                    1.0 > t_b
+                } else if tfos[e].get(later) {
+                    hops.is_none_or(|_| near[e].get(later))
+                } else {
+                    let inter = tfos[e].intersection_count(&tfos[l]);
+                    inter as f64 / tfo_sizes[l] as f64 > t_b
+                };
+                if dependent {
                     edges.push((i, j));
                 }
             }
@@ -81,6 +104,53 @@ pub fn build_influence_graph(aig: &Aig, tns: &[NodeId], t_b: f64) -> Graph {
         g.add_edge(i, j);
     }
     g
+}
+
+/// The largest forward distance `d >= 1` whose influence `1/d` exceeds
+/// `t_b`, or `None` when every distance possible in a graph of `n_nodes`
+/// nodes does. Since `1/d` falls as `d` grows, the distances that make a
+/// reachable pair dependent are exactly `1..=max_hops`.
+fn max_hops(t_b: f64, n_nodes: usize) -> Option<u32> {
+    let dependent = |d: u64| 1.0 / d as f64 > t_b;
+    if dependent(n_nodes.max(1) as u64) {
+        return None;
+    }
+    // Binary search for the last dependent distance in [0, n_nodes).
+    let (mut lo, mut hi) = (0u64, n_nodes.max(1) as u64);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if dependent(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo as u32)
+}
+
+/// The nodes at most `hops` fanout edges away from `n` (including `n`),
+/// by a depth-bounded BFS.
+fn within_hops(aig: &Aig, fanouts: &Fanouts, n: NodeId, hops: u32) -> BitMask {
+    let mut seen = BitMask::zeros(aig.n_nodes());
+    seen.set(n.index());
+    let mut frontier = vec![n];
+    let mut next = Vec::new();
+    for _ in 0..hops {
+        for &m in &frontier {
+            for &f in fanouts.of(m) {
+                if !seen.get(f.index()) {
+                    seen.set(f.index());
+                    next.push(f);
+                }
+            }
+        }
+        if next.is_empty() {
+            break;
+        }
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
+    }
+    seen
 }
 
 /// Selects the independent LAC set `L_indp` from the conflict-free set
@@ -191,6 +261,19 @@ mod tests {
         assert!(graph.has_edge(0, 1));
         assert!(!graph.has_edge(0, 2));
         assert!(!graph.has_edge(1, 2));
+    }
+
+    #[test]
+    fn max_hops_is_the_last_dependent_distance() {
+        assert_eq!(max_hops(0.5, 1000), Some(1));
+        assert_eq!(max_hops(0.2, 1000), Some(4)); // 1/5 = 0.2 is not > 0.2
+        assert_eq!(max_hops(0.21, 1000), Some(4));
+        assert_eq!(max_hops(0.8, 1000), Some(1));
+        assert_eq!(max_hops(1.0, 1000), Some(0));
+        // Every distance a 1000-node graph can hold qualifies.
+        assert_eq!(max_hops(0.0, 1000), None);
+        assert_eq!(max_hops(1e-4, 1000), None);
+        assert_eq!(max_hops(1e-4, 20_000), Some(9999));
     }
 
     #[test]

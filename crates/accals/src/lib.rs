@@ -113,7 +113,8 @@ pub struct AccalsConfig {
     pub metric: MetricKind,
     /// The error bound `e_b` (must be positive).
     pub error_bound: f64,
-    /// Mutual-influence threshold `t_b` for the independence graph.
+    /// Mutual-influence threshold `t_b` for the independence graph
+    /// (must be in `[0, 1]`).
     pub t_b: f64,
     /// Per-round estimated-error budget factor `λ`.
     pub lambda: f64,
@@ -237,6 +238,7 @@ pub(crate) fn validate_config(cfg: &AccalsConfig) {
     assert!((0.0..=1.0).contains(&cfg.l_e), "l_e must be in [0, 1]");
     assert!((0.0..=1.0).contains(&cfg.l_d), "l_d must be in [0, 1]");
     assert!(cfg.lambda > 0.0, "lambda must be positive");
+    assert!((0.0..=1.0).contains(&cfg.t_b), "t_b must be in [0, 1]");
     if let Some(w) = cfg.window {
         assert!(w.max_targets > 0, "window max_targets must be positive");
     }
@@ -261,5 +263,21 @@ mod tests {
     #[should_panic(expected = "error bound must be positive")]
     fn zero_bound_rejected() {
         AccalsConfig::new(MetricKind::Er, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "t_b must be in [0, 1]")]
+    fn nan_t_b_rejected() {
+        let mut cfg = AccalsConfig::new(MetricKind::Er, 0.05);
+        cfg.t_b = f64::NAN;
+        validate_config(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "t_b must be in [0, 1]")]
+    fn negative_t_b_rejected() {
+        let mut cfg = AccalsConfig::new(MetricKind::Er, 0.05);
+        cfg.t_b = -0.1;
+        validate_config(&cfg);
     }
 }

@@ -41,6 +41,18 @@ proptest! {
     ) {
         lacs.sort_by(|a, b| a.delta_e.partial_cmp(&b.delta_e).unwrap());
         let sol = find_solve_conflicts(&lacs);
+        // Exactly the paper's greedy over the explicit conflict graph.
+        let graph = conflict_graph(&lacs);
+        let mut greedy: Vec<usize> = Vec::new();
+        for i in 0..lacs.len() {
+            if greedy.iter().all(|&j| !graph.has_edge(i, j)) {
+                greedy.push(i);
+            }
+        }
+        prop_assert_eq!(sol.len(), greedy.len());
+        for (s, &i) in sol.iter().zip(&greedy) {
+            prop_assert!(s.lac == lacs[i].lac && s.delta_e == lacs[i].delta_e);
+        }
         // No residual conflicts.
         let g = conflict_graph(&sol);
         prop_assert_eq!(g.n_edges(), 0);

@@ -3,12 +3,15 @@ use aig::{Aig, Fanouts, Node, NodeId};
 use std::sync::Arc;
 
 /// The immutable topology snapshot a [`ConeSimulator`] works against:
-/// topological positions plus the fanout index. Build it once per circuit
-/// revision and share it (it is cheaply cloneable via [`Arc`]) between
-/// the per-thread simulators of a parallel mask-building pass.
+/// the topological order, its inverse (each node's position in it), and
+/// the fanout index. Build it once per circuit revision and share it (it
+/// is cheaply cloneable via [`Arc`]) between the per-thread simulators of
+/// a parallel mask-building pass.
 #[derive(Debug)]
 pub struct ConeTopology {
     n_nodes: usize,
+    /// The nodes in topological order: the inverse of `topo_pos`.
+    order: Vec<NodeId>,
     topo_pos: Vec<u32>,
     fanouts: Fanouts,
 }
@@ -29,6 +32,7 @@ impl ConeTopology {
         }
         Arc::new(ConeTopology {
             n_nodes: aig.n_nodes(),
+            order,
             topo_pos,
             fanouts: Fanouts::build(aig),
         })
@@ -55,8 +59,10 @@ impl ConeTopology {
 ///
 /// Given a base simulation, [`ConeSimulator::output_flips`] computes, for
 /// every primary output, the mask of patterns whose output value changes
-/// when one node's signature is forced to a new value. Only the nodes in
-/// the changed node's fanout cone are re-evaluated, which is what makes
+/// when one node's signature is forced to a new value. Propagation is
+/// event driven: only the fanouts of nodes whose value actually changed
+/// are re-evaluated, so the work follows the difference front rather than
+/// the (usually much larger) structural fanout cone. That is what makes
 /// batch evaluation of thousands of candidate local changes tractable.
 ///
 /// The simulator snapshots the graph's topology at construction time;
@@ -73,9 +79,9 @@ pub struct ConeSimulator {
     /// simulation (its new value lives in `scratch`).
     touched: Vec<bool>,
     touched_list: Vec<NodeId>,
-    /// Structural-cone membership flags and the cone member list.
-    in_cone: Vec<bool>,
-    cone: Vec<NodeId>,
+    /// Nodes awaiting re-evaluation, as a bitset over topological
+    /// positions. All-zero between calls.
+    pending: Vec<u64>,
     /// Per-call re-evaluation buffer of `stride` words.
     tmp: Vec<u64>,
 }
@@ -100,8 +106,7 @@ impl ConeSimulator {
             scratch: vec![0u64; n * stride],
             touched: vec![false; n],
             touched_list: Vec::new(),
-            in_cone: vec![false; n],
-            cone: Vec::new(),
+            pending: vec![0u64; n.div_ceil(64)],
             tmp: Vec::new(),
         }
     }
@@ -139,65 +144,59 @@ impl ConeSimulator {
         assert_eq!(forced.len(), stride);
         debug_assert!(self.touched_list.is_empty());
 
-        // Collect the structural fanout cone and order it topologically.
-        let mut cone = std::mem::take(&mut self.cone);
-        cone.clear();
-        self.mark(n, forced, stride);
-        self.in_cone[n.index()] = true;
-        cone.push(n);
-        let mut head = 0;
-        while head < cone.len() {
-            let m = cone[head];
-            head += 1;
-            for &f in self.topo.fanouts.of(m) {
-                if !self.in_cone[f.index()] {
-                    self.in_cone[f.index()] = true;
-                    cone.push(f);
-                }
-            }
-        }
-        let topo_pos = &self.topo.topo_pos;
-        cone[1..].sort_unstable_by_key(|m| topo_pos[m.index()]);
+        self.touched[n.index()] = true;
+        self.touched_list.push(n);
+        self.scratch[n.index() * stride..][..stride].copy_from_slice(forced);
+        self.schedule_fanouts(n);
 
-        // Walk the cone in topological order, re-evaluating only nodes
-        // with at least one value-changed fanin and recording a node as
-        // changed (`touched`) only if its recomputed signature actually
-        // differs from the base. Difference masks die out at masking
-        // gates (an AND whose side input is a controlling zero on every
-        // pattern), so downstream work shrinks as changes stop
-        // propagating — with results identical to a full re-simulation.
+        // Pop pending nodes in ascending topological position. Every
+        // fanout sits above its fanin, so nodes scheduled while a word is
+        // being drained land in that word or a later one, and one upward
+        // sweep visits each pending node exactly once, after all of its
+        // changed fanins. A node is recorded as changed (`touched`), and
+        // its fanouts scheduled, only if its recomputed signature differs
+        // from the base: difference masks die out at masking gates, so
+        // work follows the difference front — with results identical to
+        // a full re-simulation.
         let mut tmp = std::mem::take(&mut self.tmp);
         tmp.resize(stride, 0);
-        for &m in &cone[1..] {
-            if let Node::And(a, b) = aig.node(m) {
-                let (an, bn) = (a.node().index(), b.node().index());
-                if !self.touched[an] && !self.touched[bn] {
-                    continue;
-                }
-                let asl: &[u64] = if self.touched[an] {
-                    &self.scratch[an * stride..][..stride]
-                } else {
-                    &sim.sig(a.node())[..stride]
-                };
-                let bsl: &[u64] = if self.touched[bn] {
-                    &self.scratch[bn * stride..][..stride]
-                } else {
-                    &sim.sig(b.node())[..stride]
-                };
-                let na = if a.is_neg() { u64::MAX } else { 0 };
-                let nb = if b.is_neg() { u64::MAX } else { 0 };
-                let base = &sim.sig(m)[..stride];
-                let mut diff = 0u64;
-                for w in 0..stride {
-                    let v = (asl[w] ^ na) & (bsl[w] ^ nb);
-                    tmp[w] = v;
-                    diff |= v ^ base[w];
-                }
-                if diff != 0 {
-                    self.scratch[m.index() * stride..][..stride].copy_from_slice(&tmp);
-                    self.touched[m.index()] = true;
-                    self.touched_list.push(m);
-                }
+        let mut w = self.topo.topo_pos[n.index()] as usize / 64;
+        while w < self.pending.len() {
+            let word = self.pending[w];
+            if word == 0 {
+                w += 1;
+                continue;
+            }
+            self.pending[w] = word & (word - 1);
+            let m = self.topo.order[w * 64 + word.trailing_zeros() as usize];
+            let Node::And(a, b) = *aig.node(m) else {
+                continue;
+            };
+            let (an, bn) = (a.node().index(), b.node().index());
+            let asl: &[u64] = if self.touched[an] {
+                &self.scratch[an * stride..][..stride]
+            } else {
+                &sim.sig(a.node())[..stride]
+            };
+            let bsl: &[u64] = if self.touched[bn] {
+                &self.scratch[bn * stride..][..stride]
+            } else {
+                &sim.sig(b.node())[..stride]
+            };
+            let na = if a.is_neg() { u64::MAX } else { 0 };
+            let nb = if b.is_neg() { u64::MAX } else { 0 };
+            let base = &sim.sig(m)[..stride];
+            let mut diff = 0u64;
+            for k in 0..stride {
+                let v = (asl[k] ^ na) & (bsl[k] ^ nb);
+                tmp[k] = v;
+                diff |= v ^ base[k];
+            }
+            if diff != 0 {
+                self.scratch[m.index() * stride..][..stride].copy_from_slice(&tmp);
+                self.touched[m.index()] = true;
+                self.touched_list.push(m);
+                self.schedule_fanouts(m);
             }
         }
         self.tmp = tmp;
@@ -215,21 +214,18 @@ impl ConeSimulator {
             }
         }
 
-        // Reset flags for the next call.
+        // Reset flags for the next call (`pending` drained itself).
         for m in self.touched_list.drain(..) {
             self.touched[m.index()] = false;
         }
-        for &m in &cone {
-            self.in_cone[m.index()] = false;
-        }
-        self.cone = cone;
         flips
     }
 
-    fn mark(&mut self, n: NodeId, forced: &[u64], stride: usize) {
-        self.touched[n.index()] = true;
-        self.touched_list.push(n);
-        self.scratch[n.index() * stride..n.index() * stride + stride].copy_from_slice(forced);
+    fn schedule_fanouts(&mut self, m: NodeId) {
+        for &f in self.topo.fanouts.of(m) {
+            let p = self.topo.topo_pos[f.index()] as usize;
+            self.pending[p / 64] |= 1 << (p % 64);
+        }
     }
 }
 
@@ -279,6 +275,28 @@ mod tests {
             .collect()
     }
 
+    /// Checks every AND node of `g`, forced both to its complement and
+    /// to a sparse deviation (which masking gates can absorb), against
+    /// full re-simulation.
+    fn assert_cone_flips_match(g: &Aig, pats: &Patterns) {
+        let sim = simulate(g, pats);
+        let mut cs = ConeSimulator::new(g, pats.stride());
+        for id in g.and_ids() {
+            let complement: Vec<u64> = sim.sig(id).iter().map(|w| !w).collect();
+            let sparse: Vec<u64> = sim
+                .sig(id)
+                .iter()
+                .enumerate()
+                .map(|(w, s)| s ^ (0x0101_0101_0101_0101u64 << (w % 8)))
+                .collect();
+            for forced in [complement, sparse] {
+                let got = cs.output_flips(g, &sim, id, &forced);
+                let want = full_resim_flips(g, pats, id, &forced);
+                assert_eq!(got, want, "{}: node {id}", g.name());
+            }
+        }
+    }
+
     #[test]
     fn cone_flips_match_full_resimulation() {
         // A small reconvergent circuit.
@@ -290,15 +308,12 @@ mod tests {
         let top = g.or(m, ab);
         g.add_output(top, "y0");
         g.add_output(!cd, "y1");
-        let pats = Patterns::exhaustive(4);
-        let sim = simulate(&g, &pats);
-        let mut cs = ConeSimulator::new(&g, pats.stride());
+        assert_cone_flips_match(&g, &Patterns::exhaustive(4));
 
-        for id in g.and_ids() {
-            let forced: Vec<u64> = sim.sig(id).iter().map(|w| !w).collect();
-            let got = cs.output_flips(&g, &sim, id, &forced);
-            let want = full_resim_flips(&g, &pats, id, &forced);
-            assert_eq!(got, want, "node {id}");
+        // Every AND node of three arithmetic suite circuits.
+        for name in ["rca32", "mtp8", "cla32"] {
+            let g = benchgen::suite::by_name(name).expect("suite circuit");
+            assert_cone_flips_match(&g, &Patterns::random(g.n_pis(), 256, 7));
         }
     }
 

@@ -28,7 +28,7 @@ if cargo clippy --version >/dev/null 2>&1; then
     echo "== lint (offline): cargo clippy -D warnings =="
     cargo clippy --offline -p aig -p bitsim -p errmetrics -p lac \
         -p estimate -p accals -p accals-bench -p fuzzkit \
-        -p parkit -p sweep -p benchgen -p circuitio -- -D warnings
+        -p parkit -p sweep -p benchgen -p circuitio -p misolver -- -D warnings
 else
     echo "== lint: cargo clippy not installed, skipping =="
 fi
