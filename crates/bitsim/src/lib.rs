@@ -24,6 +24,8 @@
 //! assert_eq!(sim.output_sig(&g, 0)[0] & 0b1111, 0b0110);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod cone;
 mod patch;
 mod patterns;

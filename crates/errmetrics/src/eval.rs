@@ -357,28 +357,26 @@ impl ErrorEval {
                 count as f64 / self.n_patterns as f64
             }
             MetricKind::Wce => {
+                let mut tog = Toggles::new();
                 let mut max = 0.0f64;
-                for p in 0..self.n_patterns {
-                    let val = self.cur_vals[p] ^ self.toggle_bits(flips, p);
-                    max = max.max(self.pattern_contrib(val, self.golden_vals[p]));
+                for w in 0..self.stride {
+                    let union = self.flip_union(flips, w);
+                    tog.decode(union, flip_rows(flips, w));
+                    for b in 0..(self.n_patterns - w * 64).min(64) {
+                        let p = w * 64 + b;
+                        let val = self.cur_vals[p] ^ tog.take(b);
+                        max = max.max(self.pattern_contrib(val, self.golden_vals[p]));
+                    }
                 }
                 self.finalize(0.0, max)
             }
             _ => {
+                let mut tog = Toggles::new();
                 let mut sum = self.cur_sum;
                 for w in 0..self.stride {
-                    let mut union = 0u64;
-                    for f in flips {
-                        union |= f[w];
-                    }
-                    union &= self.word_mask(w);
-                    while union != 0 {
-                        let b = union.trailing_zeros() as usize;
-                        union &= union - 1;
-                        let p = w * 64 + b;
-                        let val = self.cur_vals[p] ^ self.toggle_bits(flips, p);
-                        sum += self.pattern_contrib(val, self.golden_vals[p]) - self.contrib[p];
-                    }
+                    let union = self.flip_union(flips, w);
+                    tog.decode(union, flip_rows(flips, w));
+                    self.each_flipped(w, union, &mut tog, |p, c| sum += c - self.contrib[p]);
                 }
                 self.finalize(sum, 0.0)
             }
@@ -418,62 +416,24 @@ impl ErrorEval {
             MetricKind::Wce => {
                 // Rescore the flipped patterns; the unflipped maximum is
                 // `cur_max` unless a flipped pattern carried it.
-                let mut flipped: Vec<(usize, f64)> = Vec::new();
-                let mut new_max = 0.0f64;
-                let mut max_flipped = false;
+                let mut tog = Toggles::new();
+                let mut wce = WceRescore::default();
                 for &w in words {
                     let w = w as usize;
-                    let mut union = 0u64;
-                    for f in flips {
-                        union |= f[w];
-                    }
-                    union &= self.word_mask(w);
-                    while union != 0 {
-                        let b = union.trailing_zeros() as usize;
-                        union &= union - 1;
-                        let p = w * 64 + b;
-                        let val = self.cur_vals[p] ^ self.toggle_bits(flips, p);
-                        let c = self.pattern_contrib(val, self.golden_vals[p]);
-                        max_flipped |= self.contrib[p] == self.cur_max;
-                        new_max = new_max.max(c);
-                        flipped.push((p, c));
-                    }
+                    let union = self.flip_union(flips, w);
+                    tog.decode(union, flip_rows(flips, w));
+                    self.each_flipped(w, union, &mut tog, |p, c| wce.push(self, p, c));
                 }
-                if !max_flipped {
-                    return self.finalize(0.0, self.cur_max.max(new_max));
-                }
-                // The max-carrying pattern itself flipped: merge-scan all
-                // patterns, taking the rescored value where flipped.
-                let mut it = flipped.iter().peekable();
-                let mut max = 0.0f64;
-                for p in 0..self.n_patterns {
-                    let c = match it.peek() {
-                        Some(&&(fp, fc)) if fp == p => {
-                            it.next();
-                            fc
-                        }
-                        _ => self.contrib[p],
-                    };
-                    max = max.max(c);
-                }
-                self.finalize(0.0, max)
+                wce.finish(self)
             }
             _ => {
+                let mut tog = Toggles::new();
                 let mut sum = self.cur_sum;
                 for &w in words {
                     let w = w as usize;
-                    let mut union = 0u64;
-                    for f in flips {
-                        union |= f[w];
-                    }
-                    union &= self.word_mask(w);
-                    while union != 0 {
-                        let b = union.trailing_zeros() as usize;
-                        union &= union - 1;
-                        let p = w * 64 + b;
-                        let val = self.cur_vals[p] ^ self.toggle_bits(flips, p);
-                        sum += self.pattern_contrib(val, self.golden_vals[p]) - self.contrib[p];
-                    }
+                    let union = self.flip_union(flips, w);
+                    tog.decode(union, flip_rows(flips, w));
+                    self.each_flipped(w, union, &mut tog, |p, c| sum += c - self.contrib[p]);
                 }
                 self.finalize(sum, 0.0)
             }
@@ -509,6 +469,7 @@ impl ErrorEval {
                 // align with word boundaries.
                 let words_per_chunk = PAT_CHUNK / 64;
                 let n_chunks = self.n_patterns.div_ceil(PAT_CHUNK);
+                let mut tog = Toggles::new();
                 let mut sum = 0.0f64;
                 let mut wi = 0usize;
                 for c in 0..n_chunks {
@@ -529,16 +490,14 @@ impl ErrorEval {
                     for w in c * words_per_chunk..p_end.div_ceil(64) {
                         let mut union = 0u64;
                         if fw < wi && words[fw] as usize == w {
-                            for f in flips {
-                                union |= f[w];
-                            }
-                            union &= self.word_mask(w);
+                            union = self.flip_union(flips, w);
+                            tog.decode(union, flip_rows(flips, w));
                             fw += 1;
                         }
                         for b in 0..(p_end - w * 64).min(64) {
                             let p = w * 64 + b;
                             csum += if union >> b & 1 == 1 {
-                                let val = self.cur_vals[p] ^ self.toggle_bits(flips, p);
+                                let val = self.cur_vals[p] ^ tog.take(b);
                                 self.pattern_contrib(val, self.golden_vals[p])
                             } else {
                                 self.contrib[p]
@@ -725,59 +684,29 @@ impl ErrorEval {
                 count as f64 / self.n_patterns as f64
             }
             MetricKind::Wce => {
-                let mut flipped: Vec<(usize, f64)> = Vec::new();
-                let mut new_max = 0.0f64;
-                let mut max_flipped = false;
+                let mut tog = Toggles::new();
+                let mut wce = WceRescore::default();
                 let mut unions = [0u64; STRIP];
                 for strip in words.chunks(STRIP) {
                     self.masked_unions(strip, dev, outs.len(), rows, &mut unions);
-                    for (i, &w) in strip.iter().enumerate() {
+                    for (&w, &union) in strip.iter().zip(&unions) {
                         let w = w as usize;
-                        let mut union = unions[i];
-                        while union != 0 {
-                            let b = union.trailing_zeros() as usize;
-                            union &= union - 1;
-                            let p = w * 64 + b;
-                            let val = self.cur_vals[p] ^ self.masked_toggle(outs, rows, w, b);
-                            let c = self.pattern_contrib(val, self.golden_vals[p]);
-                            max_flipped |= self.contrib[p] == self.cur_max;
-                            new_max = new_max.max(c);
-                            flipped.push((p, c));
-                        }
+                        tog.decode(union, self.mask_rows(outs, rows, w));
+                        self.each_flipped(w, union, &mut tog, |p, c| wce.push(self, p, c));
                     }
                 }
-                if !max_flipped {
-                    return self.finalize(0.0, self.cur_max.max(new_max));
-                }
-                let mut it = flipped.iter().peekable();
-                let mut max = 0.0f64;
-                for p in 0..self.n_patterns {
-                    let c = match it.peek() {
-                        Some(&&(fp, fc)) if fp == p => {
-                            it.next();
-                            fc
-                        }
-                        _ => self.contrib[p],
-                    };
-                    max = max.max(c);
-                }
-                self.finalize(0.0, max)
+                wce.finish(self)
             }
             _ => {
+                let mut tog = Toggles::new();
                 let mut sum = self.cur_sum;
                 let mut unions = [0u64; STRIP];
                 for strip in words.chunks(STRIP) {
                     self.masked_unions(strip, dev, outs.len(), rows, &mut unions);
-                    for (i, &w) in strip.iter().enumerate() {
+                    for (&w, &union) in strip.iter().zip(&unions) {
                         let w = w as usize;
-                        let mut union = unions[i];
-                        while union != 0 {
-                            let b = union.trailing_zeros() as usize;
-                            union &= union - 1;
-                            let p = w * 64 + b;
-                            let val = self.cur_vals[p] ^ self.masked_toggle(outs, rows, w, b);
-                            sum += self.pattern_contrib(val, self.golden_vals[p]) - self.contrib[p];
-                        }
+                        tog.decode(union, self.mask_rows(outs, rows, w));
+                        self.each_flipped(w, union, &mut tog, |p, c| sum += c - self.contrib[p]);
                     }
                 }
                 self.finalize(sum, 0.0)
@@ -831,6 +760,7 @@ impl ErrorEval {
         assert_eq!(rows.len(), outs.len() * self.stride, "mask row shape");
         assert_eq!(base_suffix.len(), words.len() + 1, "one suffix per word");
         let m = words.len();
+        let mut tog = Toggles::new();
         let mut sum = self.cur_sum;
         let mut unions = [0u64; STRIP];
         for (s, strip) in words.chunks(STRIP).enumerate() {
@@ -845,14 +775,8 @@ impl ErrorEval {
                     return BoundedScore::Pruned { lb_delta };
                 }
                 let w = w as usize;
-                let mut union = unions[i];
-                while union != 0 {
-                    let b = union.trailing_zeros() as usize;
-                    union &= union - 1;
-                    let p = w * 64 + b;
-                    let val = self.cur_vals[p] ^ self.masked_toggle(outs, rows, w, b);
-                    sum += self.pattern_contrib(val, self.golden_vals[p]) - self.contrib[p];
-                }
+                tog.decode(unions[i], self.mask_rows(outs, rows, w));
+                self.each_flipped(w, unions[i], &mut tog, |p, c| sum += c - self.contrib[p]);
             }
         }
         let e = self.finalize(sum, 0.0);
@@ -888,28 +812,54 @@ impl ErrorEval {
         }
     }
 
-    /// The per-pattern toggle value decoded inline from the mask rows:
-    /// bit `outs[k]` is set iff row `k` flips this pattern. Only called
-    /// for patterns inside the flip union, where the deviation bit is
-    /// already known set, so `row >> b & 1` equals `(dev & row) >> b & 1`.
+    /// `(output, word)` pairs of the listed mask rows at word `w`, for
+    /// [`Toggles::decode`]. Only decoded against a flip union, which
+    /// already carries the deviation bits, so `row & union` equals
+    /// `dev & row & union`.
     #[inline]
-    fn masked_toggle(&self, outs: &[u32], rows: &[u64], w: usize, b: usize) -> u128 {
-        let mut toggle = 0u128;
-        for (k, &o) in outs.iter().enumerate() {
-            toggle |= ((rows[k * self.stride + w] >> b & 1) as u128) << o;
-        }
-        toggle
+    fn mask_rows<'a>(
+        &self,
+        outs: &'a [u32],
+        rows: &'a [u64],
+        w: usize,
+    ) -> impl Iterator<Item = (u32, u64)> + 'a {
+        let stride = self.stride;
+        outs.iter()
+            .enumerate()
+            .map(move |(k, &o)| (o, rows[k * stride + w]))
     }
 
-    fn toggle_bits(&self, flips: &[Vec<u64>], p: usize) -> u128 {
-        let (w, b) = (p / 64, p % 64);
-        let mut toggle = 0u128;
-        for (o, f) in flips.iter().enumerate() {
-            if f[w] >> b & 1 == 1 {
-                toggle |= 1 << o;
-            }
+    /// The union of the flip rows at word `w`, masked to valid patterns.
+    #[inline]
+    fn flip_union(&self, flips: &[Vec<u64>], w: usize) -> u64 {
+        let mut union = 0u64;
+        for f in flips {
+            union |= f[w];
         }
-        toggle
+        union & self.word_mask(w)
+    }
+
+    /// Rescores the flipped patterns of word `w` — the set bits of
+    /// `union`, ascending — calling `f(p, contrib)` for each, with the
+    /// toggles taken from `tog` (decoded for this word and `union`).
+    /// Taking every union bit leaves `tog` all zero for the next word.
+    #[inline]
+    fn each_flipped(
+        &self,
+        w: usize,
+        mut union: u64,
+        tog: &mut Toggles,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        while union != 0 {
+            let b = union.trailing_zeros() as usize;
+            union &= union - 1;
+            let p = w * 64 + b;
+            f(
+                p,
+                self.pattern_contrib(self.cur_vals[p] ^ tog.take(b), self.golden_vals[p]),
+            );
+        }
     }
 
     #[inline]
@@ -933,13 +883,107 @@ fn is_mean(kind: MetricKind) -> bool {
     )
 }
 
+/// Per-word toggle decoder: slot `b` holds the toggle value of pattern
+/// `b` of the word being scored (bit `o` set iff output `o` flips
+/// there). [`Toggles::decode`] walks only the set bits of each
+/// `row & union`, so a word costs one op per toggled (pattern, output)
+/// pair rather than one per (flipped pattern, reached output);
+/// [`Toggles::take`] reads a slot and clears it.
+struct Toggles([u128; 64]);
+
+impl Toggles {
+    fn new() -> Self {
+        Toggles([0; 64])
+    }
+
+    /// ORs output `o` into the slot of every pattern set in
+    /// `row & union`, for each `(o, row)`. Every slot must be clear on
+    /// entry, i.e. each earlier decode's union fully taken.
+    #[inline]
+    fn decode(&mut self, union: u64, rows: impl Iterator<Item = (u32, u64)>) {
+        for (o, row) in rows {
+            let mut bits = row & union;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.0[b] |= 1u128 << o;
+            }
+        }
+    }
+
+    /// The toggle value of pattern `b`, clearing its slot.
+    #[inline]
+    fn take(&mut self, b: usize) -> u128 {
+        std::mem::take(&mut self.0[b])
+    }
+}
+
+/// `(output, word)` pairs of every flip row at word `w`, for
+/// [`Toggles::decode`].
+#[inline]
+fn flip_rows(flips: &[Vec<u64>], w: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+    flips.iter().enumerate().map(move |(o, f)| (o as u32, f[w]))
+}
+
+/// Sparse WCE rescoring: collects the rescored flipped patterns in
+/// ascending order; the unflipped maximum is `cur_max` unless a flipped
+/// pattern carried it.
+#[derive(Default)]
+struct WceRescore {
+    flipped: Vec<(usize, f64)>,
+    new_max: f64,
+    max_flipped: bool,
+}
+
+impl WceRescore {
+    #[inline]
+    fn push(&mut self, eval: &ErrorEval, p: usize, c: f64) {
+        self.max_flipped |= eval.contrib[p] == eval.cur_max;
+        self.new_max = self.new_max.max(c);
+        self.flipped.push((p, c));
+    }
+
+    fn finish(self, eval: &ErrorEval) -> f64 {
+        if !self.max_flipped {
+            return eval.finalize(0.0, eval.cur_max.max(self.new_max));
+        }
+        // The max-carrying pattern itself flipped: merge-scan all
+        // patterns, taking the rescored value where flipped.
+        let mut it = self.flipped.iter().peekable();
+        let mut max = 0.0f64;
+        for p in 0..eval.n_patterns {
+            let c = match it.peek() {
+                Some(&&(fp, fc)) if fp == p => {
+                    it.next();
+                    fc
+                }
+                _ => eval.contrib[p],
+            };
+            max = max.max(c);
+        }
+        eval.finalize(0.0, max)
+    }
+}
+
 fn pattern_contrib(kind: MetricKind, approx: u128, golden: u128) -> f64 {
-    let ed = approx.abs_diff(golden) as f64;
+    let ed = to_f64(approx.abs_diff(golden));
     match kind {
         MetricKind::Er => 0.0,
         MetricKind::Med | MetricKind::Nmed | MetricKind::Wce => ed,
-        MetricKind::Mred => ed / (golden.max(1) as f64),
+        MetricKind::Mred => ed / to_f64(golden.max(1)),
         MetricKind::Mse => ed * ed,
+    }
+}
+
+/// `x as f64`, through the hardware `u64` conversion whenever the high
+/// half is zero. Both casts round to nearest-even, so the result is
+/// the same f64; only the software `u128` routine is skipped.
+#[inline]
+fn to_f64(x: u128) -> f64 {
+    if x >> 64 == 0 {
+        x as u64 as f64
+    } else {
+        x as f64
     }
 }
 
@@ -1101,6 +1145,17 @@ mod tests {
         }
     }
 
+    /// Reference toggle value of pattern `p`, read bit by bit from the
+    /// flip rows.
+    fn toggle_bits(flips: &[Vec<u64>], p: usize) -> u128 {
+        let (w, b) = (p / 64, p % 64);
+        let mut toggle = 0u128;
+        for (o, f) in flips.iter().enumerate() {
+            toggle |= ((f[w] >> b & 1) as u128) << o;
+        }
+        toggle
+    }
+
     /// Deterministic xorshift-style generator for the randomized tests.
     fn lcg(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed;
@@ -1178,17 +1233,53 @@ mod tests {
         // The fused dev & row decode must equal materializing the flip
         // rows and calling with_flips_words, bit for bit, on every
         // metric kind — including multi-chunk samples with ragged tails
-        // and strides that exercise the strip batching.
-        for (seed, n_patterns) in [(1u64, 130), (2, 4096 + 77), (3, 10_000), (4, 64)] {
-            let c = masked_case(seed, n_patterns, 5);
-            for kind in MetricKind::ALL {
-                let mut e = ErrorEval::new(kind, &c.golden, c.n_patterns);
-                e.rebase(&c.approx);
-                let dense = e.with_flips_words(&c.words, &c.flips);
-                let fused = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
-                assert_eq!(dense.to_bits(), fused.to_bits(), "{kind} seed {seed}");
+        // and strides that exercise the strip batching. Output counts
+        // above 64 toggle bits past 63 and reach |Δ| >= 2^64, where the
+        // narrow conversion falls back to the u128 cast; the mean
+        // metrics are also replayed against a bit-by-bit toggle decode
+        // and plain u128 casts.
+        let mut wide_deltas = 0usize;
+        for n_outputs in [5usize, 64, 65, 128] {
+            for (seed, n_patterns) in [(1u64, 130), (2, 4096 + 77), (3, 10_000), (4, 64)] {
+                let c = masked_case(seed, n_patterns, n_outputs);
+                for kind in MetricKind::ALL {
+                    let mut e = ErrorEval::new(kind, &c.golden, c.n_patterns);
+                    e.rebase(&c.approx);
+                    let dense = e.with_flips_words(&c.words, &c.flips);
+                    let fused = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
+                    let at = format!("{kind} seed {seed} outputs {n_outputs}");
+                    assert_eq!(dense.to_bits(), fused.to_bits(), "{at}");
+                    if !is_mean(kind) {
+                        continue;
+                    }
+                    let mut sum = e.cur_sum;
+                    for &w in &c.words {
+                        let w = w as usize;
+                        let union = e.flip_union(&c.flips, w);
+                        for b in (0..64).filter(|b| union >> b & 1 == 1) {
+                            let p = w * 64 + b;
+                            let (val, golden) =
+                                (e.cur_vals[p] ^ toggle_bits(&c.flips, p), e.golden_vals[p]);
+                            let ed = val.abs_diff(golden);
+                            wide_deltas += (ed >> 64 != 0) as usize;
+                            let ed = ed as f64;
+                            let contrib = match kind {
+                                MetricKind::Mred => ed / golden.max(1) as f64,
+                                MetricKind::Mse => ed * ed,
+                                _ => ed,
+                            };
+                            sum += contrib - e.contrib[p];
+                        }
+                    }
+                    assert_eq!(
+                        e.finalize(sum, 0.0).to_bits(),
+                        dense.to_bits(),
+                        "{at} replay"
+                    );
+                }
             }
         }
+        assert!(wide_deltas > 0, "no |Δ| >= 2^64 exercised");
     }
 
     #[test]
@@ -1196,8 +1287,15 @@ mod tests {
         // Every lower bound handed to the prune callback must be <= the
         // exact final ΔE (soundness), and a never-pruning run must be
         // bit-identical to the unbounded evaluation.
-        for (seed, n_patterns) in [(11u64, 200), (12, 4096 + 77), (13, 10_000)] {
-            let c = masked_case(seed, n_patterns, 5);
+        for (seed, n_patterns, n_outputs) in [
+            (11u64, 200, 5),
+            (12, 4096 + 77, 5),
+            (13, 10_000, 5),
+            (14, 200, 64),
+            (15, 4096 + 77, 65),
+            (16, 10_000, 128),
+        ] {
+            let c = masked_case(seed, n_patterns, n_outputs);
             for kind in [
                 MetricKind::Med,
                 MetricKind::Nmed,
@@ -1324,7 +1422,7 @@ mod tests {
                         // Running maxima only grow toward the final max.
                         let mut max = 0.0f64;
                         for p in 0..c.n_patterns {
-                            let val = e.cur_vals[p] ^ e.toggle_bits(&c.flips, p);
+                            let val = e.cur_vals[p] ^ toggle_bits(&c.flips, p);
                             max = max.max(e.pattern_contrib(val, e.golden_vals[p]));
                             assert!(e.finalize(0.0, max) <= measured, "wce seed {seed}");
                         }
@@ -1356,7 +1454,7 @@ mod tests {
                                     for b in 0..(p_end - w * 64).min(64) {
                                         let p = w * 64 + b;
                                         csum += if union >> b & 1 == 1 {
-                                            let val = e.cur_vals[p] ^ e.toggle_bits(&c.flips, p);
+                                            let val = e.cur_vals[p] ^ toggle_bits(&c.flips, p);
                                             e.pattern_contrib(val, e.golden_vals[p])
                                         } else {
                                             e.contrib[p]

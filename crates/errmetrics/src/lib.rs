@@ -42,6 +42,8 @@
 //! assert_eq!(error(MetricKind::Er, &gs, &as_, pats.n_patterns()), 0.25);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod eval;
 mod kinds;
 

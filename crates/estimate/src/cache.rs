@@ -35,18 +35,6 @@ pub struct MaskEntry {
     pub outs: Box<[u32]>,
     /// One `stride`-word flip mask per entry of `outs`, concatenated.
     pub masks: Box<[u64]>,
-    /// Per-output word footprint: for each entry of `outs`,
-    /// `stride.div_ceil(64)` words where bit `w % 64` of word `w / 64`
-    /// is set iff mask word `w` is nonzero. Scoring skips whole outputs
-    /// whose footprint misses every deviation word.
-    pub row_words: Box<[u64]>,
-}
-
-impl MaskEntry {
-    /// Words per output in [`MaskEntry::row_words`].
-    pub fn footprint_len(stride: usize) -> usize {
-        stride.div_ceil(64)
-    }
 }
 
 /// Reusable per-chunk scratch for deviation-mask construction and

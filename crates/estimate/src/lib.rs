@@ -33,6 +33,8 @@
 //! reused across synthesis rounds through a [`MaskCache`] — see
 //! [`BatchEstimator::with_cache`].
 
+#![deny(unsafe_code)]
+
 mod cache;
 
 pub use cache::{CacheStats, DevBuf, DevPool, MaskCache, MaskEntry};
@@ -848,22 +850,13 @@ fn build_entry(rows: &[Vec<u64>], stride: usize) -> MaskEntry {
         .filter(|(_, row)| row.iter().any(|&w| w != 0))
         .map(|(o, _)| o as u32)
         .collect();
-    let fp_len = MaskEntry::footprint_len(stride);
     let mut masks = Vec::with_capacity(outs.len() * stride);
-    let mut row_words = vec![0u64; outs.len() * fp_len];
-    for (k, &o) in outs.iter().enumerate() {
-        let row = &rows[o as usize];
-        masks.extend_from_slice(row);
-        for (w, &word) in row.iter().enumerate() {
-            if word != 0 {
-                row_words[k * fp_len + (w >> 6)] |= 1 << (w & 63);
-            }
-        }
+    for &o in &outs {
+        masks.extend_from_slice(&rows[o as usize]);
     }
     MaskEntry {
         outs: outs.into_boxed_slice(),
         masks: masks.into_boxed_slice(),
-        row_words: row_words.into_boxed_slice(),
     }
 }
 

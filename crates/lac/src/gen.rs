@@ -1,5 +1,5 @@
 use crate::kinds::{Lac, LacKind};
-use crate::strips::{tt2_counts, tt3_counts, xor_distance};
+use crate::strips::{and_counts, tt2_from_pops, tt3_counts, xor_distance};
 use aig::{Aig, Fanouts, Node, NodeId};
 use bitsim::Sim;
 use prng::RngCore;
@@ -169,6 +169,8 @@ pub(crate) struct GenScratch {
     drawn: Vec<NodeId>,
     extras: Vec<NodeId>,
     divisors: Vec<NodeId>,
+    /// `(pop(d), pop(t & d))` per divisor `d` of the current node.
+    div_pops: Vec<(usize, usize)>,
     sel: Vec<(u64, u32)>,
     wire_scored: Vec<(usize, NodeId, bool)>,
     bin_scored: Vec<(usize, Lac)>,
@@ -184,6 +186,7 @@ impl GenScratch {
             drawn: Vec::new(),
             extras: Vec::new(),
             divisors: Vec::new(),
+            div_pops: Vec::new(),
             sel: Vec::new(),
             wire_scored: Vec::new(),
             bin_scored: Vec::new(),
@@ -491,12 +494,26 @@ pub(crate) fn gen_node(
             }
             [x, y]
         });
+        // Factored region counts: pop(t) once, pop(d) and pop(t & d)
+        // once per divisor, so each pair scans only pop(a & b) and
+        // pop(t & a & b).
+        let t_ones = and_counts(sig_n, sig_n, sig_n, n_patterns).0;
+        let div_pops = &mut scratch.div_pops;
+        div_pops.clear();
+        div_pops.extend(divisors.iter().map(|&v| {
+            let s = ctx.sim.sig(v);
+            and_counts(sig_n, s, s, n_patterns)
+        }));
         let scored = &mut scratch.bin_scored;
         scored.clear();
         for (i, &v1) in divisors.iter().enumerate() {
-            for &v2 in &divisors[i + 1..] {
+            let s1 = ctx.sim.sig(v1);
+            for (j, &v2) in divisors.iter().enumerate().skip(i + 1) {
                 ctrs.strip_cmps += 1;
-                if let Some((tt, dev)) = best_tt2(ctx.sim, id, v1, v2, n_patterns) {
+                let ab = and_counts(sig_n, s1, ctx.sim.sig(v2), n_patterns);
+                let (ones, totals) =
+                    tt2_from_pops(n_patterns, t_ones, div_pops[i], div_pops[j], ab);
+                if let Some((tt, dev)) = fit_tt2(ones, totals) {
                     let (mut x, mut y) = (v1, v2);
                     if x > y {
                         std::mem::swap(&mut x, &mut y);
@@ -650,20 +667,13 @@ fn sns_key(l: &Lac) -> (u32, u32, u32) {
     (a, b, c)
 }
 
-/// Finds the two-input truth table over `(v1, v2)` that best matches the
-/// target's signature, returning `(tt, deviation_count)`. Returns `None`
-/// when the optimum is a trivial table (constant or single-wire), since
-/// those are covered by the other LAC families.
-fn best_tt2(
-    sim: &Sim,
-    target: NodeId,
-    v1: NodeId,
-    v2: NodeId,
-    n_patterns: usize,
-) -> Option<(u8, usize)> {
-    // For each of the four input regions, count patterns where the target
-    // is 1 vs 0; the optimal tt picks the majority value per region.
-    let (ones, totals) = tt2_counts(sim.sig(target), sim.sig(v1), sim.sig(v2), n_patterns);
+/// Picks the two-input truth table that best matches the target over
+/// per-region `(ones, totals)` counts of a divisor pair, returning
+/// `(tt, deviation_count)`. Returns `None` when the optimum is a
+/// trivial table (constant or single-wire), since those are covered by
+/// the other LAC families.
+fn fit_tt2(ones: [usize; 4], totals: [usize; 4]) -> Option<(u8, usize)> {
+    // The optimal tt picks the majority target value per region.
     let mut tt = 0u8;
     let mut dev = 0usize;
     for r in 0..4 {
@@ -805,7 +815,16 @@ mod tests {
         let pats = Patterns::exhaustive(2);
         let sim = simulate(&g, &pats);
         // The XOR literal is complemented, so the *node* computes XNOR.
-        let (tt, dev) = best_tt2(&sim, x.node(), a.node(), b.node(), 4).unwrap();
+        let t = sim.sig(x.node());
+        let (sa, sb) = (sim.sig(a.node()), sim.sig(b.node()));
+        let (ones, totals) = tt2_from_pops(
+            4,
+            and_counts(t, t, t, 4).0,
+            and_counts(t, sa, sa, 4),
+            and_counts(t, sb, sb, 4),
+            and_counts(t, sa, sb, 4),
+        );
+        let (tt, dev) = fit_tt2(ones, totals).unwrap();
         assert_eq!(tt, if x.is_neg() { 0b1001 } else { 0b0110 });
         assert_eq!(dev, 0);
     }

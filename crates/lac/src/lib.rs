@@ -31,6 +31,8 @@
 //! # Ok::<(), lac::ApplyError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 mod gen;
 mod kinds;
 mod store;
