@@ -44,11 +44,11 @@ use crate::trial::{TrialEval, TrialMeasure};
 use crate::window::WindowState;
 use crate::{AccalsConfig, SynthesisResult};
 use aig::{Aig, Lit, NodeId};
-use bitsim::{simulate, ConeTopology, Patterns, Sim};
+use bitsim::{simulate, simulate_into, ConeTopology, PatchSimulator, Patterns, Sim};
 use errmetrics::{error, ErrorEval, MetricKind};
 use estimate::{BatchEstimator, MaskCache};
 use lac::{apply_all, ApplyReport, CandidateStore, GenCounters, Lac, ScoredLac};
-use parkit::ThreadPool;
+use parkit::{ScratchPool, ThreadPool};
 use prng::rngs::StdRng;
 use prng::seq::SliceRandom;
 use prng::SeedableRng;
@@ -66,6 +66,12 @@ fn ms(d: Duration) -> f64 {
 /// remapping of the last committed edit. Owned by the caller so sweep
 /// engines can share it between instances traversing identical circuit
 /// prefixes and [`FlowCaches::fork`] it at the divergence round.
+///
+/// It also owns the flow's signature-sized scratch, so that rounds over
+/// large circuits reuse memory instead of mapping fresh buffers: the
+/// simulation storage released by the revision before last (each round
+/// simulates into it), the mask cache's cone simulators, and the trial
+/// patch simulators.
 #[derive(Debug)]
 pub struct FlowCaches {
     pub(crate) mask: MaskCache,
@@ -75,6 +81,13 @@ pub struct FlowCaches {
     /// Window-rotation state of windowed flows (which segments the
     /// current epoch has covered); default/empty for dense flows.
     pub(crate) window: WindowState,
+    /// A handle to the simulation of the revision the caches last
+    /// rolled to, and free signature buffers (the storage released by
+    /// the revision before it).
+    last_sim: Option<Sim>,
+    sig_bufs: ScratchPool<Vec<u64>>,
+    /// One trial re-simulation scratch per concurrent trial evaluator.
+    patches: ScratchPool<PatchSimulator>,
 }
 
 impl FlowCaches {
@@ -87,6 +100,23 @@ impl FlowCaches {
             eval: ErrorEval::new(metric, golden_sigs, n_patterns),
             last_remap: None,
             window: WindowState::default(),
+            last_sim: None,
+            sig_bufs: ScratchPool::default(),
+            patches: ScratchPool::default(),
+        }
+    }
+
+    /// Records `sim` as the revision the caches now hold and, once the
+    /// caches have let go of the previous revision, keeps its storage
+    /// for the next round's simulation. A buffer still referenced
+    /// elsewhere (a fork's snapshot) is simply not reused.
+    fn retire(&mut self, sim: &Sim) {
+        if let Some(words) = self
+            .last_sim
+            .replace(sim.clone())
+            .and_then(Sim::into_buffer)
+        {
+            self.sig_bufs.put(words);
         }
     }
 
@@ -95,7 +125,8 @@ impl FlowCaches {
     /// alone would hold, so branches diverging from here stay
     /// bit-identical to standalone runs. The caller is responsible for
     /// setting the fork's pending remap to its own branch's committed
-    /// edit ([`step_cohort`] does this).
+    /// edit ([`step_cohort`] does this). Scratch is not shared: the
+    /// fork starts with none.
     pub fn fork(&self) -> FlowCaches {
         FlowCaches {
             mask: self.mask.fork(),
@@ -103,15 +134,20 @@ impl FlowCaches {
             eval: self.eval.clone(),
             last_remap: self.last_remap.clone(),
             window: self.window.clone(),
+            last_sim: None,
+            sig_bufs: ScratchPool::default(),
+            patches: ScratchPool::default(),
         }
     }
 }
 
 /// The bound-independent round work, computed once per circuit
-/// revision: the simulation, the candidate scores, and the phase
+/// revision: the simulation, the estimator's topology snapshot (which
+/// trial evaluation reuses), the candidate scores, and the phase
 /// accounting destined for each member's [`RoundTrace`].
 pub(crate) struct RoundShared {
     sim: Sim,
+    topo: Arc<ConeTopology>,
     scored: Vec<ScoredLac>,
     n_cands_eff: usize,
     scored_exact: usize,
@@ -147,7 +183,7 @@ pub(crate) fn prepare_round(
     caches: &mut FlowCaches,
     r_ref: usize,
 ) -> Option<RoundShared> {
-    let sim = simulate(current, pats);
+    let sim = simulate_into(current, pats, caches.sig_bufs.take().unwrap_or_default());
     caches.eval.rebase(&sim.output_sigs(current));
     // The pending commit remap rolls each cache forward exactly once
     // per circuit revision. A windowed round may try several windows
@@ -237,6 +273,7 @@ pub(crate) fn prepare_round(
             (s, None)
         };
         let phases = estimator.phases();
+        let topo = Arc::clone(estimator.topology());
         drop(estimator);
         if let Some(w) = win_mask {
             // Keep transfer-mask memory O(window): masks for regions
@@ -256,8 +293,10 @@ pub(crate) fn prepare_round(
         if scored.is_empty() {
             continue;
         }
+        caches.retire(&sim);
         return Some(RoundShared {
             sim,
+            topo,
             scored,
             n_cands_eff,
             scored_exact,
@@ -269,6 +308,7 @@ pub(crate) fn prepare_round(
             window_targets,
         });
     }
+    caches.retire(&sim);
     None
 }
 
@@ -295,8 +335,9 @@ pub(crate) struct Committed {
 }
 
 /// The per-member view of one round: everything the bound-dependent
-/// selection/trial/commit path reads. `current`, `sim`, and `eval`
-/// carry the long `'a` lifetime shared with the memo scratch; the
+/// selection/trial/commit path reads. The round state borrowed from the
+/// shared phases and the caches (`current` through `sig_bufs`) carries
+/// the long `'a` lifetime shared with the memo scratch; the
 /// member-specific fields are free to be shorter-lived.
 pub(crate) struct RoundCtx<'s, 'a> {
     pub cfg: &'s AccalsConfig,
@@ -305,20 +346,60 @@ pub(crate) struct RoundCtx<'s, 'a> {
     pub pats: &'s Patterns,
     pub current: &'a Aig,
     pub sim: &'a Sim,
+    pub topo: &'a Arc<ConeTopology>,
     pub eval: &'a ErrorEval,
+    pub patches: &'a ScratchPool<PatchSimulator>,
+    pub sig_bufs: &'a ScratchPool<Vec<u64>>,
     pub e: f64,
     pub r_ref: usize,
     pub r_sel: usize,
 }
 
+impl<'a> RoundCtx<'_, 'a> {
+    /// A trial evaluator over the round's base circuit, on patch
+    /// scratch from the flow's pool; give it back with
+    /// [`RoundCtx::release`].
+    fn trial_eval(&self) -> TrialEval<'a> {
+        let patch = self
+            .patches
+            .take()
+            .unwrap_or_else(|| PatchSimulator::new(self.sim.stride()));
+        TrialEval::new(
+            self.current,
+            self.sim,
+            self.eval,
+            Arc::clone(self.topo),
+            patch,
+        )
+    }
+
+    fn release(&self, te: TrialEval<'_>) {
+        self.patches.put(te.into_patch());
+    }
+
+    /// The measured error of a committed circuit, by full simulation
+    /// into one of the flow's free signature buffers.
+    fn measure_committed(&self, aig: &Aig) -> f64 {
+        let sim = simulate_into(aig, self.pats, self.sig_bufs.take().unwrap_or_default());
+        let e = error(
+            self.cfg.metric,
+            self.golden_sigs,
+            &sim.output_sigs(aig),
+            self.pats.n_patterns(),
+        );
+        if let Some(words) = sim.into_buffer() {
+            self.sig_bufs.put(words);
+        }
+        e
+    }
+}
+
 /// Cross-member memoization for one cohort round. Trial measurements
 /// and commits are pure functions of `(base circuit, LAC set)`, so
 /// members that select the same set pay for it once; the single-mode
-/// top list and the cone topology are bound-independent and shared
-/// outright.
+/// top list is bound-independent and shared outright.
 #[derive(Default)]
 pub(crate) struct RoundScratch<'a> {
-    topo: Option<Arc<ConeTopology>>,
     single_top: Option<Vec<ScoredLac>>,
     te: Option<TrialEval<'a>>,
     trials: HashMap<(Vec<Lac>, bool), TrialMeasure>,
@@ -326,10 +407,12 @@ pub(crate) struct RoundScratch<'a> {
 }
 
 impl<'a> RoundScratch<'a> {
-    fn topo(&mut self, current: &Aig) -> Arc<ConeTopology> {
-        self.topo
-            .get_or_insert_with(|| ConeTopology::build(current))
-            .clone()
+    /// Ends the round, returning the memo evaluator's scratch to the
+    /// flow's pool.
+    fn finish(self, patches: &ScratchPool<PatchSimulator>) {
+        if let Some(te) = self.te {
+            patches.put(te.into_patch());
+        }
     }
 
     /// Memoized incremental trial measurement of `lacs` against the
@@ -343,10 +426,7 @@ impl<'a> RoundScratch<'a> {
         if let Some(m) = self.trials.get(&key) {
             return *m;
         }
-        let topo = self.topo(ctx.current);
-        let te = self
-            .te
-            .get_or_insert_with(|| TrialEval::new(ctx.current, ctx.sim, ctx.eval, topo));
+        let te = self.te.get_or_insert_with(|| ctx.trial_eval());
         let m = te.measure(lacs, want_n_ands);
         self.trials.insert(key, m);
         m
@@ -372,32 +452,14 @@ impl<'a> RoundScratch<'a> {
         let remap = copy.cleanup().expect("editing keeps the graph acyclic");
         let e_after = match e_trial {
             Some(e) => {
-                #[cfg(debug_assertions)]
-                {
-                    let sim = simulate(&copy, ctx.pats);
-                    let e_real = error(
-                        ctx.cfg.metric,
-                        ctx.golden_sigs,
-                        &sim.output_sigs(&copy),
-                        ctx.pats.n_patterns(),
-                    );
-                    assert_eq!(
-                        e_real.to_bits(),
-                        e.to_bits(),
-                        "trial measurement diverged from the committed circuit"
-                    );
-                }
+                debug_assert_eq!(
+                    ctx.measure_committed(&copy).to_bits(),
+                    e.to_bits(),
+                    "trial measurement diverged from the committed circuit"
+                );
                 e
             }
-            None => {
-                let sim = simulate(&copy, ctx.pats);
-                error(
-                    ctx.cfg.metric,
-                    ctx.golden_sigs,
-                    &sim.output_sigs(&copy),
-                    ctx.pats.n_patterns(),
-                )
-            }
+            None => ctx.measure_committed(&copy),
         };
         let c = Arc::new(Committed {
             aig: copy,
@@ -577,7 +639,6 @@ fn pick_single_trial<'a>(
     // wave costs the same as the sequential ladder, and full-width
     // speculation only engages on the rare deep ladder where the
     // parallel race actually pays.
-    let topo = scratch.topo(ctx.current);
     let wave_cap = (threads * 2).clamp(2, 16);
     let mut wave = 1;
     let mut start = 0;
@@ -586,9 +647,12 @@ fn pick_single_trial<'a>(
         let slice = &top[start..(start + wave).min(top.len())];
         let chunk = slice.len().div_ceil(threads).max(1);
         let measures = ctx.pool.par_chunk_results(slice.len(), chunk, |_, r| {
-            let mut te = TrialEval::new(ctx.current, ctx.sim, ctx.eval, topo.clone());
-            r.map(|i| te.measure(std::slice::from_ref(&slice[i]), true))
-                .collect::<Vec<_>>()
+            let mut te = ctx.trial_eval();
+            let ms: Vec<_> = r
+                .map(|i| te.measure(std::slice::from_ref(&slice[i]), true))
+                .collect();
+            ctx.release(te);
+            ms
         });
         for (i, m) in measures.iter().flatten().enumerate() {
             if done(m) {
@@ -727,11 +791,12 @@ fn multi_round_incremental<'a>(
     let cfg = ctx.cfg;
     let t_trial = Instant::now();
     let (e1, e2) = if cfg.race_random && ctx.pool.threads() > 1 {
-        let topo = scratch.topo(ctx.current);
         let sets = [l_indp, l_rand];
         let es = ctx.pool.par_map_collect(&sets, |_, set| {
-            let mut te = TrialEval::new(ctx.current, ctx.sim, ctx.eval, topo.clone());
-            te.measure(set, false).e_after
+            let mut te = ctx.trial_eval();
+            let e = te.measure(set, false).e_after;
+            ctx.release(te);
+            e
         });
         (es[0], es[1])
     } else {
@@ -846,9 +911,14 @@ impl FlowInstance {
         golden: &Aig,
         pats: Arc<Patterns>,
     ) -> (FlowInstance, FlowCaches) {
-        let golden_sigs = Arc::new(simulate(golden, &pats).output_sigs(golden));
+        let golden_sim = simulate(golden, &pats);
+        let golden_sigs = Arc::new(golden_sim.output_sigs(golden));
         let flow = FlowInstance::with_shared(cfg, pool, golden, pats, golden_sigs);
         let caches = flow.caches();
+        // The first round simulates into the golden simulation's storage.
+        if let Some(words) = golden_sim.into_buffer() {
+            caches.sig_bufs.put(words);
+        }
         (flow, caches)
     }
 
@@ -1050,13 +1120,16 @@ impl FlowInstance {
             pats: &self.pats,
             current: &self.current,
             sim: &shared.sim,
+            topo: &shared.topo,
             eval: &caches.eval,
+            patches: &caches.patches,
+            sig_bufs: &caches.sig_bufs,
             e: self.e,
             r_ref: self.r_ref,
             r_sel: self.r_sel,
         };
         let (committed, mut t) = decide_round(&ctx, &shared, &mut self.rng, &mut scratch);
-        drop(scratch);
+        scratch.finish(&caches.patches);
         self.fill_shared(&mut t, &shared);
         match self.conclude(&committed, t) {
             RoundOutcome::Adopt => {
@@ -1188,7 +1261,10 @@ fn step_cohort_impl(
             pats: &pats,
             current: &base,
             sim: &shared.sim,
+            topo: &shared.topo,
             eval: &caches.eval,
+            patches: &caches.patches,
+            sig_bufs: &caches.sig_bufs,
             e: m.e,
             r_ref: m.r_ref,
             r_sel: m.r_sel,
@@ -1203,7 +1279,7 @@ fn step_cohort_impl(
             RoundOutcome::Finish => None,
         });
     }
-    drop(scratch);
+    scratch.finish(&caches.patches);
 
     // Partition continuing members by committed-edit identity (memo
     // Arc pointer): members that committed the same set share the same

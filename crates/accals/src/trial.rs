@@ -54,7 +54,9 @@ pub struct TrialMeasure {
 ///
 /// Cheap to construct per thread: the working graph copy is the one
 /// allocation proportional to circuit size; the topology snapshot is
-/// shared. Not `Sync` — give each racing thread its own instance.
+/// shared, and the [`PatchSimulator`] scratch is passed in so that it can
+/// outlive the round ([`TrialEval::into_patch`] hands it back). Not
+/// `Sync` — give each racing thread its own instance.
 #[derive(Debug)]
 pub struct TrialEval<'a> {
     base: &'a Aig,
@@ -76,14 +78,23 @@ pub struct TrialEval<'a> {
 impl<'a> TrialEval<'a> {
     /// Prepares an evaluator over the round's base circuit, its
     /// simulation, and the error evaluator rebased to it. `topo` must be
-    /// [`ConeTopology::build`] of the same circuit.
-    pub fn new(base: &'a Aig, sim: &'a Sim, eval: &'a ErrorEval, topo: Arc<ConeTopology>) -> Self {
+    /// [`ConeTopology::build`] of the same circuit. `patch` is scratch
+    /// for signatures of `sim.stride()` words; what it held before
+    /// (e.g. a trial of an earlier revision) never affects a
+    /// measurement.
+    pub fn new(
+        base: &'a Aig,
+        sim: &'a Sim,
+        eval: &'a ErrorEval,
+        topo: Arc<ConeTopology>,
+        patch: PatchSimulator,
+    ) -> Self {
         debug_assert_eq!(topo.n_nodes(), base.n_nodes(), "stale topology");
         let stride = sim.stride();
         TrialEval {
             work: base.trial_copy(),
             log: PatchLog::default(),
-            patch: PatchSimulator::new(stride),
+            patch,
             dirty: vec![false; base.n_nodes()],
             dirty_list: Vec::new(),
             rewired: vec![false; base.n_nodes()],
@@ -96,6 +107,11 @@ impl<'a> TrialEval<'a> {
             eval,
             topo,
         }
+    }
+
+    /// The re-simulation scratch, for a later round's evaluator.
+    pub fn into_patch(self) -> PatchSimulator {
+        self.patch
     }
 
     /// Applies `lacs` to the working copy, measures error (and area when

@@ -147,34 +147,66 @@ pub fn shortest_forward_distances(
 /// Size of the maximum fanout-free cone (MFFC) of `n`: the number of AND
 /// nodes, including `n`, that would become dangling if `n` were removed.
 ///
-/// This is the standard area-saving estimate for deleting a node.
+/// This is the standard area-saving estimate for deleting a node. It
+/// allocates an `n_nodes` scratch per call; size many nodes through one
+/// [`MffcScratch`] instead.
 pub fn mffc_size(aig: &Aig, fanouts: &Fanouts, n: NodeId) -> usize {
-    if !aig.node(n).is_and() {
-        return 0;
-    }
-    let mut refs: Vec<u32> = (0..aig.n_nodes())
-        .map(|i| fanouts.n_refs(NodeId::new(i)))
-        .collect();
-    let mut count = 0;
-    let mut stack = vec![n];
-    while let Some(m) = stack.pop() {
-        count += 1;
-        if let Node::And(a, b) = aig.node(m) {
-            let mut fanin_nodes = vec![a.node()];
-            if b.node() != a.node() {
-                fanin_nodes.push(b.node());
-            }
-            for f in fanin_nodes {
-                if aig.node(f).is_and() {
-                    refs[f.index()] -= 1;
-                    if refs[f.index()] == 0 {
-                        stack.push(f);
+    MffcScratch::default().size(aig, fanouts, n)
+}
+
+/// Reusable scratch for MFFC sizing: per-node reference decrements,
+/// all zero between calls. A call restores only the entries it
+/// decremented, so sizing a node costs its MFFC and the fanins at its
+/// boundary, not a fill of the whole circuit.
+#[derive(Debug, Default)]
+pub struct MffcScratch {
+    /// References to each node removed by the current call so far.
+    dec: Vec<u32>,
+    /// Nodes with a nonzero `dec` entry.
+    touched: Vec<NodeId>,
+    stack: Vec<NodeId>,
+}
+
+impl MffcScratch {
+    /// The MFFC size of `n` (see [`mffc_size`]). `fanouts` must be built
+    /// for `aig`.
+    pub fn size(&mut self, aig: &Aig, fanouts: &Fanouts, n: NodeId) -> usize {
+        if !aig.node(n).is_and() {
+            return 0;
+        }
+        if self.dec.len() < aig.n_nodes() {
+            self.dec.resize(aig.n_nodes(), 0);
+        }
+        let mut count = 0;
+        self.stack.push(n);
+        while let Some(m) = self.stack.pop() {
+            count += 1;
+            if let Node::And(a, b) = aig.node(m) {
+                let (a, b) = (a.node(), b.node());
+                let fanins = if b != a {
+                    [Some(a), Some(b)]
+                } else {
+                    [Some(a), None]
+                };
+                for f in fanins.into_iter().flatten() {
+                    if aig.node(f).is_and() {
+                        let d = &mut self.dec[f.index()];
+                        if *d == 0 {
+                            self.touched.push(f);
+                        }
+                        *d += 1;
+                        if *d == fanouts.n_refs(f) {
+                            self.stack.push(f);
+                        }
                     }
                 }
             }
         }
+        for f in self.touched.drain(..) {
+            self.dec[f.index()] = 0;
+        }
+        count
     }
-    count
 }
 
 #[cfg(test)]
@@ -247,5 +279,17 @@ mod tests {
         assert_eq!(mffc_size(&g, &f, ab.node()), 1);
         // PIs have no MFFC.
         assert_eq!(mffc_size(&g, &f, g.pi(0).node()), 0);
+    }
+
+    #[test]
+    fn mffc_scratch_is_restored_after_each_call() {
+        let (g, [_a, ab, ac, y]) = diamond();
+        let f = Fanouts::build(&g);
+        let mut s = MffcScratch::default();
+        for (n, want) in [(y, 3), (ab, 1), (ac, 1), (y, 3)] {
+            assert_eq!(s.size(&g, &f, n.node()), want);
+            assert!(s.dec.iter().all(|&d| d == 0), "scratch left dirty");
+            assert!(s.touched.is_empty() && s.stack.is_empty());
+        }
     }
 }

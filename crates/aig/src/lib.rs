@@ -62,6 +62,6 @@ pub use topo::Fanouts;
 /// Cone-analysis helpers: transitive fanin/fanout, distances, MFFCs.
 pub mod cone {
     pub use crate::cone_impl::{
-        mffc_size, shortest_forward_distances, tfi_mask, tfo_mask, BitMask,
+        mffc_size, shortest_forward_distances, tfi_mask, tfo_mask, BitMask, MffcScratch,
     };
 }

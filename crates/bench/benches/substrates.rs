@@ -24,7 +24,7 @@ fn bench_simulation(c: &mut Criterion) {
     let forced: Vec<u64> = sim.sig(mid).iter().map(|w| !w).collect();
     c.bench_function("cone_resim/mtp8/mid_node", |b| {
         b.iter_batched(
-            || ConeSimulator::new(&g, pats.stride()),
+            || ConeSimulator::new(&g),
             |mut cs| cs.output_flips(&g, &sim, mid, &forced),
             BatchSize::SmallInput,
         )

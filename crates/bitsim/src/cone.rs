@@ -54,6 +54,9 @@ impl ConeTopology {
     }
 }
 
+/// Marks a node whose signature equals the base simulation's.
+const UNTOUCHED: u32 = u32::MAX;
+
 /// Incremental re-simulation of the transitive-fanout cone of a single
 /// node.
 ///
@@ -65,19 +68,25 @@ impl ConeTopology {
 /// the (usually much larger) structural fanout cone. That is what makes
 /// batch evaluation of thousands of candidate local changes tractable.
 ///
-/// The simulator snapshots the graph's topology at construction time;
-/// build a fresh one after editing the graph. When several simulators run
-/// over the same circuit in parallel, build one [`ConeTopology`] and hand
-/// each thread its own simulator via [`ConeSimulator::with_topology`] —
-/// the scratch state is per-simulator, the topology is shared.
+/// The simulator works against a topology snapshot: build a new one
+/// ([`ConeTopology::build`]) after editing the graph and
+/// [`ConeSimulator::rebind`] to it. When several simulators run over the
+/// same circuit in parallel, share one [`ConeTopology`] and hand each
+/// thread its own simulator via [`ConeSimulator::with_topology`] — the
+/// scratch state is per-simulator, the topology is shared. Changed
+/// signatures live in a slab holding only the nodes a call touched, so a
+/// simulator's memory follows the largest difference front it has seen
+/// rather than `n_nodes × stride`, and a simulator kept across circuit
+/// revisions reuses it.
 #[derive(Debug)]
 pub struct ConeSimulator {
     topo: Arc<ConeTopology>,
-    /// Scratch signature storage for touched nodes.
-    scratch: Vec<u64>,
-    /// Whether a node's signature currently differs from the base
-    /// simulation (its new value lives in `scratch`).
-    touched: Vec<bool>,
+    /// Per node: the slab slot of its changed signature, or
+    /// [`UNTOUCHED`]. All-untouched between calls.
+    slot: Vec<u32>,
+    /// The changed signatures of this call, `stride` words per slot, in
+    /// `touched_list` order.
+    slab: Vec<u64>,
     touched_list: Vec<NodeId>,
     /// Nodes awaiting re-evaluation, as a bitset over topological
     /// positions. All-zero between calls.
@@ -87,28 +96,39 @@ pub struct ConeSimulator {
 }
 
 impl ConeSimulator {
-    /// Prepares a cone simulator for `aig` with signatures of `stride`
-    /// words.
+    /// Prepares a cone simulator for `aig`.
     ///
     /// # Panics
     ///
     /// Panics if the graph is cyclic.
-    pub fn new(aig: &Aig, stride: usize) -> Self {
-        Self::with_topology(ConeTopology::build(aig), stride)
+    pub fn new(aig: &Aig) -> Self {
+        Self::with_topology(ConeTopology::build(aig))
     }
 
     /// Prepares a cone simulator over an existing topology snapshot,
     /// allocating only the per-simulator scratch state.
-    pub fn with_topology(topo: Arc<ConeTopology>, stride: usize) -> Self {
-        let n = topo.n_nodes;
-        ConeSimulator {
-            topo,
-            scratch: vec![0u64; n * stride],
-            touched: vec![false; n],
+    pub fn with_topology(topo: Arc<ConeTopology>) -> Self {
+        let mut cs = ConeSimulator {
+            topo: Arc::clone(&topo),
+            slot: Vec::new(),
+            slab: Vec::new(),
             touched_list: Vec::new(),
-            pending: vec![0u64; n.div_ceil(64)],
+            pending: Vec::new(),
             tmp: Vec::new(),
-        }
+        };
+        cs.rebind(topo);
+        cs
+    }
+
+    /// Points the simulator at another topology snapshot (typically the
+    /// next circuit revision), keeping its scratch allocations. Costs
+    /// `O(|Δ n_nodes|)`: between calls every per-node entry holds its
+    /// reset value, so only the length changes.
+    pub fn rebind(&mut self, topo: Arc<ConeTopology>) {
+        let n = topo.n_nodes;
+        self.slot.resize(n, UNTOUCHED);
+        self.pending.resize(n.div_ceil(64), 0);
+        self.topo = topo;
     }
 
     /// The fanout index snapshot held by this simulator.
@@ -142,18 +162,16 @@ impl ConeSimulator {
         let stride = sim.stride();
         assert_eq!(self.topo.n_nodes, aig.n_nodes(), "simulator is stale");
         assert_eq!(forced.len(), stride);
-        debug_assert!(self.touched_list.is_empty());
+        debug_assert!(self.touched_list.is_empty() && self.slab.is_empty());
 
-        self.touched[n.index()] = true;
-        self.touched_list.push(n);
-        self.scratch[n.index() * stride..][..stride].copy_from_slice(forced);
+        self.touch(n, forced);
         self.schedule_fanouts(n);
 
         // Pop pending nodes in ascending topological position. Every
         // fanout sits above its fanin, so nodes scheduled while a word is
         // being drained land in that word or a later one, and one upward
         // sweep visits each pending node exactly once, after all of its
-        // changed fanins. A node is recorded as changed (`touched`), and
+        // changed fanins. A node is recorded as changed (touched), and
         // its fanouts scheduled, only if its recomputed signature differs
         // from the base: difference masks die out at masking gates, so
         // work follows the difference front — with results identical to
@@ -172,17 +190,8 @@ impl ConeSimulator {
             let Node::And(a, b) = *aig.node(m) else {
                 continue;
             };
-            let (an, bn) = (a.node().index(), b.node().index());
-            let asl: &[u64] = if self.touched[an] {
-                &self.scratch[an * stride..][..stride]
-            } else {
-                &sim.sig(a.node())[..stride]
-            };
-            let bsl: &[u64] = if self.touched[bn] {
-                &self.scratch[bn * stride..][..stride]
-            } else {
-                &sim.sig(b.node())[..stride]
-            };
+            let asl = self.sig(sim, a.node());
+            let bsl = self.sig(sim, b.node());
             let na = if a.is_neg() { u64::MAX } else { 0 };
             let nb = if b.is_neg() { u64::MAX } else { 0 };
             let base = &sim.sig(m)[..stride];
@@ -193,9 +202,7 @@ impl ConeSimulator {
                 diff |= v ^ base[k];
             }
             if diff != 0 {
-                self.scratch[m.index() * stride..][..stride].copy_from_slice(&tmp);
-                self.touched[m.index()] = true;
-                self.touched_list.push(m);
+                self.touch(m, &tmp);
                 self.schedule_fanouts(m);
             }
         }
@@ -205,20 +212,38 @@ impl ConeSimulator {
         let mut flips = Vec::with_capacity(aig.n_pos());
         for out in aig.outputs() {
             let d = out.lit.node();
-            if self.touched[d.index()] {
+            if self.slot[d.index()] != UNTOUCHED {
                 let base = sim.sig(d);
-                let new = &self.scratch[d.index() * stride..d.index() * stride + stride];
+                let new = self.sig(sim, d);
                 flips.push(base.iter().zip(new).map(|(b, s)| b ^ s).collect());
             } else {
                 flips.push(vec![0u64; stride]);
             }
         }
 
-        // Reset flags for the next call (`pending` drained itself).
+        // Reset for the next call (`pending` drained itself).
         for m in self.touched_list.drain(..) {
-            self.touched[m.index()] = false;
+            self.slot[m.index()] = UNTOUCHED;
         }
+        self.slab.clear();
         flips
+    }
+
+    /// The current signature of `m`: its slab row if this call changed
+    /// it, the base signature otherwise.
+    fn sig<'s>(&'s self, sim: &'s Sim, m: NodeId) -> &'s [u64] {
+        let stride = sim.stride();
+        match self.slot[m.index()] {
+            UNTOUCHED => &sim.sig(m)[..stride],
+            s => &self.slab[s as usize * stride..][..stride],
+        }
+    }
+
+    /// Records `value` as `m`'s changed signature.
+    fn touch(&mut self, m: NodeId, value: &[u64]) {
+        self.slot[m.index()] = self.touched_list.len() as u32;
+        self.touched_list.push(m);
+        self.slab.extend_from_slice(value);
     }
 
     fn schedule_fanouts(&mut self, m: NodeId) {
@@ -277,10 +302,12 @@ mod tests {
 
     /// Checks every AND node of `g`, forced both to its complement and
     /// to a sparse deviation (which masking gates can absorb), against
-    /// full re-simulation.
-    fn assert_cone_flips_match(g: &Aig, pats: &Patterns) {
+    /// full re-simulation — through `cs` rebound to `g`, whatever circuit
+    /// it served before, and through a fresh simulator.
+    fn assert_cone_flips_match(g: &Aig, pats: &Patterns, cs: &mut ConeSimulator) {
         let sim = simulate(g, pats);
-        let mut cs = ConeSimulator::new(g, pats.stride());
+        cs.rebind(ConeTopology::build(g));
+        let mut fresh = ConeSimulator::new(g);
         for id in g.and_ids() {
             let complement: Vec<u64> = sim.sig(id).iter().map(|w| !w).collect();
             let sparse: Vec<u64> = sim
@@ -290,9 +317,11 @@ mod tests {
                 .map(|(w, s)| s ^ (0x0101_0101_0101_0101u64 << (w % 8)))
                 .collect();
             for forced in [complement, sparse] {
-                let got = cs.output_flips(g, &sim, id, &forced);
                 let want = full_resim_flips(g, pats, id, &forced);
+                let got = fresh.output_flips(g, &sim, id, &forced);
                 assert_eq!(got, want, "{}: node {id}", g.name());
+                let got = cs.output_flips(g, &sim, id, &forced);
+                assert_eq!(got, want, "{}: node {id} (rebound)", g.name());
             }
         }
     }
@@ -308,13 +337,19 @@ mod tests {
         let top = g.or(m, ab);
         g.add_output(top, "y0");
         g.add_output(!cd, "y1");
-        assert_cone_flips_match(&g, &Patterns::exhaustive(4));
+        let small_pats = Patterns::exhaustive(4);
+        // One simulator serves every circuit in turn (growing, shrinking,
+        // and changing stride), the way a flow's pooled simulators are
+        // rebound to each new revision.
+        let mut cs = ConeSimulator::new(&g);
+        assert_cone_flips_match(&g, &small_pats, &mut cs);
 
         // Every AND node of three arithmetic suite circuits.
         for name in ["rca32", "mtp8", "cla32"] {
-            let g = benchgen::suite::by_name(name).expect("suite circuit");
-            assert_cone_flips_match(&g, &Patterns::random(g.n_pis(), 256, 7));
+            let big = benchgen::suite::by_name(name).expect("suite circuit");
+            assert_cone_flips_match(&big, &Patterns::random(big.n_pis(), 256, 7), &mut cs);
         }
+        assert_cone_flips_match(&g, &small_pats, &mut cs);
     }
 
     #[test]
@@ -324,7 +359,7 @@ mod tests {
         g.add_output(y, "y");
         let pats = Patterns::exhaustive(2);
         let sim = simulate(&g, &pats);
-        let mut cs = ConeSimulator::new(&g, pats.stride());
+        let mut cs = ConeSimulator::new(&g);
         let same = sim.sig(y.node()).to_vec();
         let flips = cs.output_flips(&g, &sim, y.node(), &same);
         assert!(flips[0].iter().all(|&w| w == 0));
@@ -337,7 +372,7 @@ mod tests {
         g.add_output(!y, "ny");
         let pats = Patterns::exhaustive(2);
         let sim = simulate(&g, &pats);
-        let mut cs = ConeSimulator::new(&g, pats.stride());
+        let mut cs = ConeSimulator::new(&g);
         let forced: Vec<u64> = sim.sig(y.node()).iter().map(|w| !w).collect();
         let flips = cs.output_flips(&g, &sim, y.node(), &forced);
         // Every pattern flips: the node is the output driver.

@@ -34,7 +34,7 @@ mod sim;
 pub use cone::{ConeSimulator, ConeTopology};
 pub use patch::PatchSimulator;
 pub use patterns::Patterns;
-pub use sim::{simulate, Sim};
+pub use sim::{simulate, simulate_into, Sim};
 
 /// Counts the set bits in a signature slice, masking the tail word.
 ///

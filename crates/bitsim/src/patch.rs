@@ -14,25 +14,29 @@
 use crate::sim::Sim;
 use aig::{Aig, Node, NodeId};
 
-const UNRESOLVED: u8 = 0;
-const CLEAN: u8 = 1;
-const CHANGED: u8 = 2;
+/// Per-node resolution state: an unresolved node, a clean node (its base
+/// signature is valid), or — any other value — the slab slot holding a
+/// changed node's signature.
+const UNRESOLVED: u32 = u32::MAX;
+const CLEAN: u32 = u32::MAX - 1;
 
 /// Reusable scratch state for re-simulating an edited graph against a
-/// base simulation. One instance serves many trials: call
-/// [`PatchSimulator::begin`] per trial, then [`PatchSimulator::ensure`]
-/// per output driver, then read signatures back with
-/// [`PatchSimulator::sig`].
+/// base simulation. One instance serves many trials, also across circuit
+/// revisions: call [`PatchSimulator::begin`] per trial, then
+/// [`PatchSimulator::ensure`] per output driver, then read signatures
+/// back with [`PatchSimulator::sig`]. Changed signatures live in a slab
+/// holding only the nodes the trial changed, so the scratch follows the
+/// largest edit seen rather than `n_nodes × stride`.
 #[derive(Debug)]
 pub struct PatchSimulator {
     stride: usize,
-    /// Per-node resolution state: unresolved, clean (base signature is
-    /// valid), or changed (signature lives in `scratch`).
-    state: Vec<u8>,
+    /// Per-node resolution state ([`UNRESOLVED`], [`CLEAN`], or a slab
+    /// slot).
+    state: Vec<u32>,
     /// Nodes whose state must be reset at the next [`PatchSimulator::begin`].
     visited: Vec<u32>,
-    /// Signature storage for changed nodes, `stride` words each.
-    scratch: Vec<u64>,
+    /// Signature storage for changed nodes, `stride` words per slot.
+    slab: Vec<u64>,
     stack: Vec<u32>,
     tmp: Vec<u64>,
 }
@@ -44,7 +48,7 @@ impl PatchSimulator {
             stride,
             state: Vec::new(),
             visited: Vec::new(),
-            scratch: Vec::new(),
+            slab: Vec::new(),
             stack: Vec::new(),
             tmp: vec![0u64; stride],
         }
@@ -57,10 +61,10 @@ impl PatchSimulator {
         for n in self.visited.drain(..) {
             self.state[n as usize] = UNRESOLVED;
         }
-        if self.state.len() < n_nodes {
-            self.state.resize(n_nodes, UNRESOLVED);
-            self.scratch.resize(n_nodes * self.stride, 0);
-        }
+        self.slab.clear();
+        // Every entry is unresolved now, so resizing either way keeps
+        // the whole table reset.
+        self.state.resize(n_nodes, UNRESOLVED);
     }
 
     /// Resolves `root` and everything it transitively needs.
@@ -132,16 +136,8 @@ impl PatchSimulator {
             }
             let mut tmp = std::mem::take(&mut self.tmp);
             {
-                let asl: &[u64] = if self.state[an] == CHANGED {
-                    &self.scratch[an * stride..][..stride]
-                } else {
-                    &base.sig(a.node())[..stride]
-                };
-                let bsl: &[u64] = if self.state[bn] == CHANGED {
-                    &self.scratch[bn * stride..][..stride]
-                } else {
-                    &base.sig(b.node())[..stride]
-                };
+                let asl = self.sig(base, a.node());
+                let bsl = self.sig(base, b.node());
                 let na = if a.is_neg() { u64::MAX } else { 0 };
                 let nb = if b.is_neg() { u64::MAX } else { 0 };
                 for w in 0..stride {
@@ -155,12 +151,13 @@ impl PatchSimulator {
                 // Appended replacement logic has no base signature.
                 true
             };
-            if changed {
-                self.scratch[ni * stride..][..stride].copy_from_slice(&tmp);
-                self.state[ni] = CHANGED;
+            self.state[ni] = if changed {
+                let s = (self.slab.len() / stride) as u32;
+                self.slab.extend_from_slice(&tmp);
+                s
             } else {
-                self.state[ni] = CLEAN;
-            }
+                CLEAN
+            };
             self.visited.push(top);
             self.tmp = tmp;
         }
@@ -171,7 +168,7 @@ impl PatchSimulator {
     /// Only meaningful after [`PatchSimulator::ensure`] resolved `n`.
     pub fn is_changed(&self, n: NodeId) -> bool {
         debug_assert_ne!(self.state[n.index()], UNRESOLVED, "node was never ensured");
-        self.state[n.index()] == CHANGED
+        self.state[n.index()] < CLEAN
     }
 
     /// The signature of `n` in the patched graph: the scratch value if
@@ -179,13 +176,13 @@ impl PatchSimulator {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `n` was never resolved by
-    /// [`PatchSimulator::ensure`] this trial.
+    /// Panics if `n` was never resolved by [`PatchSimulator::ensure`]
+    /// this trial.
     pub fn sig<'s>(&'s self, base: &'s Sim, n: NodeId) -> &'s [u64] {
         match self.state[n.index()] {
-            CHANGED => &self.scratch[n.index() * self.stride..][..self.stride],
-            CLEAN => base.sig(n),
-            _ => panic!("node {n} was never ensured"),
+            CLEAN => &base.sig(n)[..self.stride],
+            UNRESOLVED => panic!("node {n} was never ensured"),
+            s => &self.slab[s as usize * self.stride..][..self.stride],
         }
     }
 }

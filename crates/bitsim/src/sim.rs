@@ -1,12 +1,21 @@
 use crate::patterns::Patterns;
 use aig::{Aig, Node, NodeId};
+use std::sync::Arc;
 
 /// The result of a bit-parallel simulation: one signature per node.
+///
+/// Signatures are immutable once simulated and shared on clone: a
+/// clone is a handle to the same storage, so cross-round caches can
+/// keep the revision they last saw without copying it. The storage is
+/// an `Arc<Vec<u64>>` rather than an `Arc<[u64]>` because converting a
+/// `Vec` into the latter copies every word; the extra indirection lets
+/// [`Sim::into_buffer`] hand the allocation back for
+/// [`simulate_into`] to reuse.
 #[derive(Debug, Clone)]
 pub struct Sim {
     stride: usize,
     n_patterns: usize,
-    words: Vec<u64>,
+    words: Arc<Vec<u64>>,
 }
 
 impl Sim {
@@ -28,6 +37,12 @@ impl Sim {
     /// Number of nodes covered.
     pub fn n_nodes(&self) -> usize {
         self.words.len() / self.stride.max(1)
+    }
+
+    /// The signature storage, if this is its last handle: a buffer for
+    /// [`simulate_into`] to overwrite. `None` while other clones live.
+    pub fn into_buffer(self) -> Option<Vec<u64>> {
+        Arc::try_unwrap(self.words).ok()
     }
 
     /// The signature of output `o` of `aig`, with the output polarity
@@ -119,6 +134,21 @@ impl Sim {
 ///
 /// Panics if `pats.n_pis() != aig.n_pis()` or if the graph is cyclic.
 pub fn simulate(aig: &Aig, pats: &Patterns) -> Sim {
+    simulate_into(aig, pats, Vec::new())
+}
+
+/// [`simulate`], writing into `buf` instead of a fresh allocation.
+///
+/// `buf`'s contents are ignored (every word is overwritten), so it can
+/// be the storage of an earlier, now unused simulation — see
+/// [`Sim::into_buffer`]. Flows recycle it so that large circuits do not
+/// map and first-touch a new `n_nodes × stride` buffer every round. A
+/// `buf` too small for `aig` is replaced by a fresh allocation.
+///
+/// # Panics
+///
+/// Panics if `pats.n_pis() != aig.n_pis()` or if the graph is cyclic.
+pub fn simulate_into(aig: &Aig, pats: &Patterns, mut buf: Vec<u64>) -> Sim {
     assert_eq!(
         pats.n_pis(),
         aig.n_pis(),
@@ -128,11 +158,21 @@ pub fn simulate(aig: &Aig, pats: &Patterns) -> Sim {
     );
     let stride = pats.stride();
     let order = aig.topo_order().expect("simulation requires an acyclic graph");
-    let mut words = vec![0u64; aig.n_nodes() * stride];
+    let len = aig.n_nodes() * stride;
+    // Every row is written below (the order covers every node), so the
+    // stale contents of a recycled buffer never survive. A buffer too
+    // small is not grown, which would copy its stale words: a fresh
+    // zeroed one is mapped lazily instead.
+    let mut words = if buf.capacity() >= len {
+        buf.resize(len, 0);
+        buf
+    } else {
+        vec![0u64; len]
+    };
     for id in order {
         let i = id.index();
         match *aig.node(id) {
-            Node::Const0 => {}
+            Node::Const0 => words[i * stride..(i + 1) * stride].fill(0),
             Node::Input(k) => {
                 words[i * stride..(i + 1) * stride].copy_from_slice(pats.pi_sig(k as usize));
             }
@@ -150,7 +190,7 @@ pub fn simulate(aig: &Aig, pats: &Patterns) -> Sim {
     Sim {
         stride,
         n_patterns: pats.n_patterns(),
-        words,
+        words: Arc::new(words),
     }
 }
 
@@ -199,6 +239,50 @@ mod tests {
         let sim = simulate(&g, &pats);
         assert_eq!(sim.output_sig(&g, 0)[0] & 0b11, 0b11);
         assert_eq!(sim.output_sig(&g, 1)[0] & 0b11, 0b01);
+    }
+
+    #[test]
+    fn simulating_into_a_recycled_buffer_matches_fresh() {
+        let circuits = [
+            adder2(),
+            benchgen::suite::by_name("mtp8").expect("suite circuit"),
+            benchgen::suite::by_name("alu4").expect("suite circuit"),
+        ];
+        for g in &circuits {
+            let pats = Patterns::random(g.n_pis(), 1000, 3);
+            let fresh = simulate(g, &pats);
+            let len = g.n_nodes() * pats.stride();
+            // Garbage-filled buffers: larger than needed, exactly sized,
+            // and too small (replaced by a fresh allocation).
+            for cap in [len + 777, len, len / 2] {
+                let garbage: Vec<u64> = (0..cap as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+                    .collect();
+                let sim = simulate_into(g, &pats, garbage);
+                assert_eq!(
+                    sim.words,
+                    fresh.words,
+                    "{}: buffer of {cap} words",
+                    g.name()
+                );
+                assert_eq!(sim.n_nodes(), g.n_nodes());
+                sim.check_consistent(g).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn storage_is_shared_until_the_last_handle() {
+        let g = adder2();
+        let pats = Patterns::exhaustive(4);
+        let sim = simulate(&g, &pats);
+        let handle = sim.clone();
+        assert!(
+            sim.into_buffer().is_none(),
+            "a clone still holds the storage"
+        );
+        let words = handle.into_buffer().expect("last handle");
+        assert_eq!(words.len(), g.n_nodes() * pats.stride());
     }
 
     #[test]

@@ -72,7 +72,7 @@ proptest! {
         }
         let pats = Patterns::exhaustive(recipe.n_pis);
         let sim = simulate(&g, &pats);
-        let mut cs = ConeSimulator::new(&g, pats.stride());
+        let mut cs = ConeSimulator::new(&g);
         // Deterministically pick an AND node and a deviation mask.
         let ands: Vec<_> = g.and_ids().collect();
         let n = ands[(flip_seed as usize) % ands.len()];

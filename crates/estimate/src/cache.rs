@@ -24,9 +24,10 @@
 //! polarity independent.
 
 use aig::{Aig, Fanouts, Lit, Node, NodeId};
-use bitsim::Sim;
+use bitsim::{ConeSimulator, ConeTopology, Sim};
+use parkit::ScratchPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// Cached transfer masks for one node.
 #[derive(Debug, Clone)]
@@ -67,7 +68,7 @@ pub struct DevBuf {
 /// bit-identity at any thread count.
 #[derive(Debug, Default)]
 pub struct DevPool {
-    bufs: Mutex<Vec<DevBuf>>,
+    bufs: ScratchPool<DevBuf>,
     allocs: AtomicUsize,
 }
 
@@ -75,13 +76,10 @@ impl DevPool {
     /// Takes a buffer from the pool, allocating a fresh one (and
     /// counting it) only when the pool is dry.
     pub fn checkout(&self) -> DevBuf {
-        match self.bufs.lock().expect("dev pool poisoned").pop() {
-            Some(b) => b,
-            None => {
-                self.allocs.fetch_add(1, Ordering::Relaxed);
-                DevBuf::default()
-            }
-        }
+        self.bufs.take().unwrap_or_else(|| {
+            self.allocs.fetch_add(1, Ordering::Relaxed);
+            DevBuf::default()
+        })
     }
 
     /// Returns a buffer, clearing the sparse arrays (capacity is kept).
@@ -90,7 +88,7 @@ impl DevPool {
         buf.bits.clear();
         buf.index.clear();
         buf.pops.clear();
-        self.bufs.lock().expect("dev pool poisoned").push(buf);
+        self.bufs.put(buf);
     }
 
     /// Total `DevBuf` allocations since construction. Flat across warm
@@ -120,16 +118,17 @@ pub struct CacheStats {
 /// circuit revision it was last [`MaskCache::roll`]ed to.
 #[derive(Debug, Default)]
 pub struct MaskCache {
-    stride: usize,
-    n_patterns: usize,
     generation: u64,
     entries: Vec<Option<MaskEntry>>,
-    // Snapshot of the revision `entries` belongs to.
+    // Snapshot of the revision `entries` belongs to. The simulation is
+    // a shared handle, not a copy.
     snap_nodes: Vec<Node>,
     snap_out_lits: Vec<Lit>,
-    snap_sigs: Vec<u64>,
+    snap_sim: Option<Sim>,
     stats: CacheStats,
     pool: DevPool,
+    /// One cone simulator per mask-building worker, kept across rolls.
+    cones: ScratchPool<ConeSimulator>,
 }
 
 /// The image of an old-revision literal under the cleanup remapping.
@@ -161,12 +160,25 @@ impl MaskCache {
         &self.pool
     }
 
-    /// Forks the cache at its current revision: the fork carries the
-    /// same entries and snapshot, so rolling it forward along a
-    /// *different* branch of edits yields exactly what a cache that had
-    /// followed that branch alone would hold. The scratch [`DevPool`]
-    /// is not shared — buffer contents never influence results, so the
-    /// fork starts with an empty pool.
+    /// A cone simulator bound to `topo`: a pooled one rebound (it keeps
+    /// the scratch it grew on earlier revisions), or a fresh one when
+    /// every pooled simulator is checked out. Hand it back with
+    /// [`MaskCache::restore_cone`].
+    pub(crate) fn checkout_cone(&self, topo: &Arc<ConeTopology>) -> ConeSimulator {
+        match self.cones.take() {
+            Some(mut cs) => {
+                cs.rebind(Arc::clone(topo));
+                cs
+            }
+            None => ConeSimulator::with_topology(Arc::clone(topo)),
+        }
+    }
+
+    /// Returns a simulator taken with [`MaskCache::checkout_cone`].
+    pub(crate) fn restore_cone(&self, cs: ConeSimulator) {
+        self.cones.put(cs);
+    }
+
     /// Drops every cached entry whose node is not set in `keep`
     /// (indexed by `NodeId::index` at the cache's current revision).
     /// Dropping an entry only ever costs a recomputation on the next
@@ -181,17 +193,22 @@ impl MaskCache {
         }
     }
 
+    /// Forks the cache at its current revision: the fork carries the
+    /// same entries and snapshot, so rolling it forward along a
+    /// *different* branch of edits yields exactly what a cache that had
+    /// followed that branch alone would hold. The scratch pools are not
+    /// shared — their contents never influence results, so the fork
+    /// starts with empty ones.
     pub fn fork(&self) -> MaskCache {
         MaskCache {
-            stride: self.stride,
-            n_patterns: self.n_patterns,
             generation: self.generation,
             entries: self.entries.clone(),
             snap_nodes: self.snap_nodes.clone(),
             snap_out_lits: self.snap_out_lits.clone(),
-            snap_sigs: self.snap_sigs.clone(),
+            snap_sim: self.snap_sim.clone(),
             stats: self.stats,
             pool: DevPool::default(),
+            cones: ScratchPool::default(),
         }
     }
 
@@ -213,15 +230,14 @@ impl MaskCache {
         self.generation += 1;
         self.stats.rounds += 1;
         let n_new = aig.n_nodes();
-        let stride = sim.stride();
-
-        let carried = if self.snap_nodes.is_empty()
-            || stride != self.stride
-            || sim.n_patterns() != self.n_patterns
-        {
-            None
-        } else {
+        let same_shape = self
+            .snap_sim
+            .as_ref()
+            .is_some_and(|s| s.stride() == sim.stride() && s.n_patterns() == sim.n_patterns());
+        let carried = if same_shape {
             remap.and_then(|r| self.carry_entries(aig, sim, fanouts, r))
+        } else {
+            None
         };
         self.entries = match carried {
             Some(entries) => entries,
@@ -234,15 +250,9 @@ impl MaskCache {
         };
 
         // Snapshot this revision for the next roll.
-        self.stride = stride;
-        self.n_patterns = sim.n_patterns();
         self.snap_nodes = (0..n_new).map(|i| *aig.node(NodeId::new(i))).collect();
         self.snap_out_lits = aig.outputs().iter().map(|o| o.lit).collect();
-        self.snap_sigs.clear();
-        self.snap_sigs.reserve(n_new * stride);
-        for i in 0..n_new {
-            self.snap_sigs.extend_from_slice(sim.sig(NodeId::new(i)));
-        }
+        self.snap_sim = Some(sim.clone());
     }
 
     /// Computes the surviving entry table, or `None` to flush.
@@ -391,22 +401,23 @@ impl MaskCache {
 
     fn sig_matches(&self, sim: &Sim, m: NodeId, p: usize, neg: bool) -> bool {
         let new = sim.sig(m);
-        let old = &self.snap_sigs[p * self.stride..(p + 1) * self.stride];
-        for w in 0..self.stride {
+        let old = self
+            .snap_sim
+            .as_ref()
+            .expect("carrying requires a snapshot")
+            .sig(NodeId::new(p));
+        for w in 0..sim.stride() {
             let ow = if neg { !old[w] } else { old[w] };
-            if (new[w] ^ ow) & word_mask(self.n_patterns, w) != 0 {
+            if (new[w] ^ ow) & word_mask(sim.n_patterns(), w) != 0 {
                 return false;
             }
         }
         true
     }
 
-    /// Ensures the entry table covers `aig` at the given sample shape,
-    /// without diffing (used by cache-less estimators for scratch
-    /// storage within a single round).
-    pub(crate) fn reset_for(&mut self, aig: &Aig, sim: &Sim) {
-        self.stride = sim.stride();
-        self.n_patterns = sim.n_patterns();
+    /// Ensures the entry table covers `aig`, without diffing (used by
+    /// cache-less estimators for scratch storage within a single round).
+    pub(crate) fn reset_for(&mut self, aig: &Aig) {
         self.entries.clear();
         self.entries.resize(aig.n_nodes(), None);
     }

@@ -23,13 +23,13 @@
 //! clone-apply-resimulate reference.
 //!
 //! Both phases run on a [`parkit::ThreadPool`]: mask construction is
-//! parallel over target nodes (each worker chunk owns a private
-//! [`ConeSimulator`] over a shared [`ConeTopology`]), and scoring is
-//! parallel over candidates. Per-candidate work touches only the words
-//! where the deviation mask is nonzero, via
-//! [`errmetrics::ErrorEval::with_flips_words`]. Every per-candidate
-//! value is computed independently and written to its input slot, so
-//! results are bit-identical at any thread count. Transfer masks can be
+//! parallel over target nodes (each worker chunk checks a private
+//! [`bitsim::ConeSimulator`] out of the cache's pool and binds it to a
+//! shared [`ConeTopology`]), and scoring is parallel over candidates.
+//! Per-candidate work touches only the words where the deviation mask is
+//! nonzero, via [`errmetrics::ErrorEval::with_flips_words`]. Every
+//! per-candidate value is computed independently and written to its
+//! input slot, so results are bit-identical at any thread count. Transfer masks can be
 //! reused across synthesis rounds through a [`MaskCache`] — see
 //! [`BatchEstimator::with_cache`].
 
@@ -39,8 +39,9 @@ mod cache;
 
 pub use cache::{CacheStats, DevBuf, DevPool, MaskCache, MaskEntry};
 
-use aig::{cone, Aig, Lit, NodeId};
-use bitsim::{simulate, ConeSimulator, ConeTopology, Patterns, Sim};
+use aig::cone::MffcScratch;
+use aig::{Aig, Lit, NodeId};
+use bitsim::{simulate, ConeTopology, Patterns, Sim};
 use errmetrics::{error, BoundedScore, ErrorEval, MetricKind};
 use lac::{DevView, Lac, ScoredLac};
 use parkit::ThreadPool;
@@ -161,7 +162,7 @@ impl TopkThreshold {
 /// cross-round cache.
 #[derive(Debug)]
 enum CacheSlot<'a> {
-    Owned(MaskCache),
+    Owned(Box<MaskCache>),
     External(&'a mut MaskCache),
 }
 
@@ -211,8 +212,8 @@ impl<'a> BatchEstimator<'a> {
     /// Panics if `sim` does not match `aig`.
     pub fn new(aig: &'a Aig, sim: &'a Sim, eval: &'a ErrorEval) -> Self {
         let mut scratch = MaskCache::new();
-        scratch.reset_for(aig, sim);
-        Self::build(aig, sim, eval, CacheSlot::Owned(scratch))
+        scratch.reset_for(aig);
+        Self::build(aig, sim, eval, CacheSlot::Owned(Box::new(scratch)))
     }
 
     /// Creates an estimator whose transfer masks live in `cache`,
@@ -259,6 +260,13 @@ impl<'a> BatchEstimator<'a> {
         self
     }
 
+    /// The topology snapshot of the estimator's circuit, built once per
+    /// estimator; later consumers of the same revision (trial
+    /// evaluation) share it instead of rebuilding it.
+    pub fn topology(&self) -> &Arc<ConeTopology> {
+        &self.topo
+    }
+
     /// The error of the current circuit (the baseline for `ΔE`).
     pub fn current_error(&self) -> f64 {
         self.current_error
@@ -294,8 +302,10 @@ impl<'a> BatchEstimator<'a> {
     /// Shared phase-1 prep: distinct targets (ascending) with their
     /// candidate slot map and MFFC sizes, plus any transfer masks
     /// missing from the cache built in parallel over target nodes. Each
-    /// worker chunk owns a private cone simulator; the per-node result
-    /// is independent of chunking.
+    /// worker chunk holds a private MFFC scratch and a cone simulator
+    /// checked out of the cache (so warm rounds reuse the scratch that
+    /// earlier rounds grew); the per-node result is independent of
+    /// chunking.
     fn prepare_targets(&mut self, cands: &[Lac]) -> (Vec<NodeId>, HashMap<NodeId, u32>, Vec<i64>) {
         let stride = self.sim.stride();
         let pool = self.pool;
@@ -311,8 +321,15 @@ impl<'a> BatchEstimator<'a> {
             .collect();
 
         let topo = &self.topo;
-        let mffcs: Vec<i64> =
-            pool.par_map_collect(&targets, |_, &tn| cone::mffc_size(aig, topo.fanouts(), tn) as i64);
+        let chunk = targets.len().div_ceil(pool.threads() * 2).max(1);
+        let mffcs: Vec<i64> = pool
+            .par_chunk_results(targets.len(), chunk, |_, range| {
+                let mut scratch = MffcScratch::default();
+                range
+                    .map(|k| scratch.size(aig, topo.fanouts(), targets[k]) as i64)
+                    .collect::<Vec<_>>()
+            })
+            .concat();
 
         let missing: Vec<NodeId> = targets
             .iter()
@@ -325,16 +342,19 @@ impl<'a> BatchEstimator<'a> {
         let t_mask = Instant::now();
         if !missing.is_empty() {
             let chunk = missing.len().div_ceil(pool.threads() * 2).max(1);
+            let cache = self.cache.get();
             let computed: Vec<Vec<MaskEntry>> =
                 pool.par_chunk_results(missing.len(), chunk, |_, range| {
-                    let mut cs = ConeSimulator::with_topology(Arc::clone(topo), stride);
-                    range
+                    let mut cs = cache.checkout_cone(topo);
+                    let entries = range
                         .map(|k| {
                             let tn = missing[k];
                             let forced: Vec<u64> = sim.sig(tn).iter().map(|w| !w).collect();
                             build_entry(&cs.output_flips(aig, sim, tn, &forced), stride)
                         })
-                        .collect()
+                        .collect();
+                    cache.restore_cone(cs);
+                    entries
                 });
             let store = self.cache.get_mut();
             let mut tns = missing.iter();

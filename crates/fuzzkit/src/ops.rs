@@ -9,11 +9,11 @@
 //! | incremental path            | oracle                                            |
 //! |-----------------------------|---------------------------------------------------|
 //! | `aig` editing/compaction    | [`Aig::check_invariants`] after every operation   |
-//! | incremental resimulation    | [`Sim::check_consistent`] fixpoint check          |
+//! | incremental resimulation    | [`Sim::check_consistent`] fixpoint check, simulating into the previous round's recycled buffer |
 //! | `lac::CandidateStore`       | fresh [`generate_candidates`] lists + `DevMask` recomputation |
-//! | `estimate::MaskCache`       | fresh [`BatchEstimator::new`] ΔE bits at 1/2/8 threads |
+//! | `estimate::MaskCache`       | fresh [`BatchEstimator::new`] ΔE bits at 1/2/8 threads; the cache's cone simulators last served an earlier revision |
 //! | `estimate` top-k pruning    | dense `obtain_top_set` bit-identity at 1/2/8 threads, fresh + cached masks |
-//! | `accals::TrialEval`         | clone → `apply_all` → `cleanup` → resimulate → re-measure |
+//! | `accals::TrialEval`         | clone → `apply_all` → `cleanup` → resimulate → re-measure, on patch scratch kept from earlier rounds |
 //! | `sweep` cohort sharing      | batched bound ladder vs standalone flows: bit-identical trajectories |
 //! | windowed candidate paths    | windowed generation (fresh + store-carried) vs full generation filtered to the window; full-span windowed flow vs dense flow bit-identity |
 //! | `errmetrics` end to end     | BDD exact error vs exhaustive simulation (≤14 inputs) |
@@ -28,7 +28,7 @@ use accals::conflict::find_solve_conflicts;
 use accals::topset::{obtain_top_set, obtain_top_set_from};
 use accals::{Accals, AccalsConfig, SizeParam, TrialEval, WindowSpec};
 use aig::{Aig, Lit, NodeId};
-use bitsim::{simulate, ConeTopology, Patterns};
+use bitsim::{simulate, simulate_into, ConeTopology, PatchSimulator, Patterns, Sim};
 use errmetrics::{ErrorEval, MetricKind};
 use estimate::{BatchEstimator, MaskCache};
 use lac::{
@@ -139,6 +139,12 @@ struct Driver<'c> {
     current: Aig,
     store: CandidateStore,
     mask_cache: MaskCache,
+    /// Scratch that outlives a round, as a flow's does: the trial patch
+    /// simulator, the previous round's simulation, and the storage of
+    /// the one before it, which the next round simulates into.
+    patch: PatchSimulator,
+    last_sim: Option<Sim>,
+    spare_sigs: Vec<u64>,
     /// Remap from the revision the caches last snapshotted to
     /// `current`; `None` flushes (first round, or an edit declared
     /// unknown on purpose).
@@ -167,7 +173,11 @@ impl<'c> Driver<'c> {
     /// maybe commit one.
     fn round(&mut self) -> Result<(), Failure> {
         self.stats.rounds += 1;
-        let sim = simulate(&self.current, &self.pats);
+        let sim = simulate_into(
+            &self.current,
+            &self.pats,
+            std::mem::take(&mut self.spare_sigs),
+        );
         sim.check_consistent(&self.current)
             .map_err(|e| self.fail("bitsim/fixpoint", e))?;
         self.check_graph("round start", &self.current)?;
@@ -322,7 +332,8 @@ impl<'c> Driver<'c> {
         let mut committed = false;
         if !reference.is_empty() && self.rng.gen_bool(0.9) {
             let topo = ConeTopology::build(&self.current);
-            let mut trial = TrialEval::new(&self.current, &sim, &eval, Arc::clone(&topo));
+            let patch = std::mem::replace(&mut self.patch, PatchSimulator::new(0));
+            let mut trial = TrialEval::new(&self.current, &sim, &eval, Arc::clone(&topo), patch);
             let n_sets = self.rng.gen_range(1..=2);
             let mut last_set: Vec<ScoredLac> = Vec::new();
             for _ in 0..n_sets {
@@ -375,6 +386,7 @@ impl<'c> Driver<'c> {
                 }
                 last_set = set;
             }
+            self.patch = trial.into_patch();
 
             if !last_set.is_empty() && self.rng.gen_bool(0.8) {
                 let lacs: Vec<Lac> = last_set.iter().map(|s| s.lac).collect();
@@ -391,6 +403,11 @@ impl<'c> Driver<'c> {
         }
         if !committed {
             self.last_remap = Some(identity);
+        }
+        // Keep the storage of the revision the caches just let go of
+        // (they now hold this round's simulation) for the next round.
+        if let Some(words) = self.last_sim.replace(sim).and_then(Sim::into_buffer) {
+            self.spare_sigs = words;
         }
         Ok(())
     }
@@ -848,6 +865,7 @@ fn run_case_inner(case: &FuzzCase, op_at: &std::cell::Cell<usize>) -> Result<Cas
     };
     let golden_sim = simulate(&golden, &pats);
     let golden_sigs = golden_sim.output_sigs(&golden);
+    let stride = pats.stride();
 
     let mut store = CandidateStore::new();
     if case.fault == Fault::StoreSkipFanout {
@@ -870,6 +888,9 @@ fn run_case_inner(case: &FuzzCase, op_at: &std::cell::Cell<usize>) -> Result<Cas
         golden_sigs,
         store,
         mask_cache: MaskCache::new(),
+        patch: PatchSimulator::new(stride),
+        last_sim: None,
+        spare_sigs: Vec::new(),
         last_remap: None,
         // Smaller probe budgets than the synthesis default keep soak
         // throughput high without narrowing the candidate families.

@@ -377,11 +377,12 @@ pub struct CandidateStore {
     /// its allocations as the next epoch's target).
     arena: CandArena,
     spare: CandArena,
-    // Snapshot of the revision `entries` belongs to.
+    // Snapshot of the revision `entries` belongs to. The simulation is
+    // a shared handle, not a copy.
     snap_nodes: Vec<Node>,
     snap_levels: Vec<u32>,
     snap_live: Vec<bool>,
-    snap_sigs: Vec<u64>,
+    snap_sim: Option<Sim>,
     snap_pool: Vec<NodeId>,
     stats: StoreStats,
     last_counters: GenCounters,
@@ -614,11 +615,7 @@ impl CandidateStore {
         self.n_patterns = sim.n_patterns();
         self.cfg_key = Some(cfg.clone());
         self.snap_nodes = (0..n_new).map(|i| *aig.node(NodeId::new(i))).collect();
-        self.snap_sigs.clear();
-        self.snap_sigs.reserve(n_new * stride);
-        for i in 0..n_new {
-            self.snap_sigs.extend_from_slice(sim.sig(NodeId::new(i)));
-        }
+        self.snap_sim = Some(sim.clone());
         self.snap_levels = levels;
         self.snap_live = live;
         self.snap_pool = pool_nodes;
@@ -685,6 +682,7 @@ impl CandidateStore {
         next: &mut CandArena,
     ) -> Option<Vec<Option<EntryMeta>>> {
         let n_new = aig.n_nodes();
+        let snap = self.snap_sim.clone().expect("carrying requires a snapshot");
 
         // Positive, collision-free preimages. A negated image (strash
         // folding during cleanup) marks the node dirty rather than
@@ -740,7 +738,7 @@ impl CandidateStore {
                     .get(p)
                     .is_some_and(|old| struct_eq_ordered(aig.node(id), old, remap))
                 && levels[m] == self.snap_levels[p]
-                && sim.sig(id) == &self.snap_sigs[p * self.stride..(p + 1) * self.stride];
+                && sim.sig(id) == snap.sig(NodeId::new(p));
         }
 
         // Pool-dirty nodes: members of the new pool that are *not* the
@@ -758,9 +756,7 @@ impl CandidateStore {
         for (op, &old) in self.snap_pool.iter().enumerate() {
             if let Some(m) = node_image(remap, old) {
                 let p = old.index();
-                if levels[m.index()] == self.snap_levels[p]
-                    && sim.sig(m) == &self.snap_sigs[p * self.stride..(p + 1) * self.stride]
-                {
+                if levels[m.index()] == self.snap_levels[p] && sim.sig(m) == snap.sig(old) {
                     stable[m.index()] = true;
                     stable_old_pos[m.index()] = op as u32;
                 }
@@ -915,7 +911,7 @@ impl CandidateStore {
             snap_nodes: self.snap_nodes.clone(),
             snap_levels: self.snap_levels.clone(),
             snap_live: self.snap_live.clone(),
-            snap_sigs: self.snap_sigs.clone(),
+            snap_sim: self.snap_sim.clone(),
             snap_pool: self.snap_pool.clone(),
             stats: self.stats,
             last_counters: self.last_counters,

@@ -374,6 +374,37 @@ fn auto_chunk(n: usize, threads: usize) -> usize {
     (n / (threads * 8)).max(1)
 }
 
+/// A free-list of reusable scratch values for the workers of a parallel
+/// phase: each chunk takes one (or builds one when the list is dry) and
+/// puts it back when done, so warm phases reuse the previous phase's
+/// allocations. Which chunk gets which value depends on the schedule,
+/// so pooled values must never influence results — callers reset or
+/// rebind them at checkout.
+#[derive(Debug)]
+pub struct ScratchPool<T> {
+    free: Mutex<Vec<T>>,
+}
+
+impl<T> Default for ScratchPool<T> {
+    fn default() -> Self {
+        ScratchPool {
+            free: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<T> ScratchPool<T> {
+    /// Takes a pooled value, if any.
+    pub fn take(&self) -> Option<T> {
+        self.free.lock().expect("scratch pool poisoned").pop()
+    }
+
+    /// Returns a value to the pool.
+    pub fn put(&self, value: T) {
+        self.free.lock().expect("scratch pool poisoned").push(value);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,14 +5,16 @@
 //! replay, rollback — reports *exactly* what the committed path (clone,
 //! `apply_all`, `cleanup`, full re-simulate, full rescore) would report
 //! for the same set: the error down to the last mantissa bit, the
-//! post-cleanup gate count, and the applied/dropped accounting. The
-//! same promise lifts to the whole flow: with incremental trials on or
-//! off, at any thread count, `synthesize` commits the identical circuit
-//! through the identical round sequence.
+//! post-cleanup gate count, and the applied/dropped accounting — also
+//! when its re-simulation scratch last served another circuit revision,
+//! as the flow's pooled scratch does every round. The same promise lifts
+//! to the whole flow: with incremental trials on or off, at any thread
+//! count, `synthesize` commits the identical circuit through the
+//! identical round sequence.
 
 use accals::{Accals, AccalsConfig, SizeParam, TrialEval};
 use aig::Aig;
-use bitsim::{simulate, ConeTopology, Patterns};
+use bitsim::{simulate, ConeTopology, PatchSimulator, Patterns};
 use errmetrics::{error, ErrorEval, MetricKind};
 use lac::{apply_all, generate_candidates, CandidateConfig, Lac, ScoredLac};
 use parkit::ThreadPool;
@@ -45,13 +47,15 @@ fn conflict_free(set: &[ScoredLac], cand: &Lac) -> bool {
 
 /// For every candidate LAC (and a handful of multi-LAC sets) on `base`,
 /// asserts that `TrialEval` measures bit-identically to the committed
-/// clone+apply+cleanup+resimulate path.
+/// clone+apply+cleanup+resimulate path. The evaluator runs on `patch`,
+/// whatever it served before; it is handed back for the next caller.
 fn assert_trials_match_committed(
     base: &Aig,
     kind: MetricKind,
     golden_sigs: &[Vec<u64>],
     pats: &Patterns,
-) {
+    patch: PatchSimulator,
+) -> PatchSimulator {
     let sim = simulate(base, pats);
     let mut eval = ErrorEval::new(kind, golden_sigs, pats.n_patterns());
     eval.rebase(&sim.output_sigs(base));
@@ -84,7 +88,7 @@ fn assert_trials_match_committed(
     }
 
     let topo = ConeTopology::build(base);
-    let mut trial = TrialEval::new(base, &sim, &eval, topo);
+    let mut trial = TrialEval::new(base, &sim, &eval, topo, patch);
     for set in &sets {
         let m = trial.measure(set, true);
 
@@ -119,15 +123,19 @@ fn assert_trials_match_committed(
             "{what}: gate count differs"
         );
     }
+    trial.into_patch()
 }
 
 #[test]
 fn trial_measure_matches_committed_path_for_every_candidate() {
+    // One scratch throughout: mtp8's trials run on the patch simulator
+    // that served every rca32 trial.
+    let mut patch = PatchSimulator::new(2048 / 64);
     for (name, kind) in [("rca32", MetricKind::Er), ("mtp8", MetricKind::Nmed)] {
         let g = circuit(name);
         let pats = Patterns::random(g.n_pis(), 2048, 0x7E57_7E57);
         let golden_sigs = simulate(&g, &pats).output_sigs(&g);
-        assert_trials_match_committed(&g, kind, &golden_sigs, &pats);
+        patch = assert_trials_match_committed(&g, kind, &golden_sigs, &pats, patch);
     }
 }
 
@@ -147,8 +155,28 @@ fn trial_measure_matches_committed_path_mid_synthesis() {
     assert!(apply_all(&mut base, &first).applied > 0);
     base.cleanup().unwrap();
 
-    assert_trials_match_committed(&base, MetricKind::Er, &golden_sigs, &pats);
-    assert_trials_match_committed(&base, MetricKind::Mred, &golden_sigs, &pats);
+    // The scratch first serves trials of the previous revision (the
+    // golden circuit, which has more nodes), as a flow's pooled patch
+    // simulator does from one round to the next.
+    let eval0 = {
+        let mut e = ErrorEval::new(MetricKind::Er, &golden_sigs, pats.n_patterns());
+        e.rebase(&sim0.output_sigs(&g));
+        e
+    };
+    let mut warm = TrialEval::new(
+        &g,
+        &sim0,
+        &eval0,
+        ConeTopology::build(&g),
+        PatchSimulator::new(pats.stride()),
+    );
+    for &l in cands0.iter().step_by(7).take(40) {
+        warm.measure(&[scored(l)], true);
+    }
+    let patch = warm.into_patch();
+
+    let patch = assert_trials_match_committed(&base, MetricKind::Er, &golden_sigs, &pats, patch);
+    assert_trials_match_committed(&base, MetricKind::Mred, &golden_sigs, &pats, patch);
 }
 
 #[test]
