@@ -17,24 +17,26 @@
 //! - [`FlowCaches`] owns the bound-independent warm state (mask cache,
 //!   candidate store, error evaluator, last commit remap) and can
 //!   [`FlowCaches::fork`] when trajectories diverge;
-//! - [`FlowInstance`] is a resumable flow value: one
-//!   [`FlowInstance::step`] runs one round against externally-owned
-//!   caches, bit-identical to the monolithic loop;
-//! - [`step_cohort`] advances a whole *cohort* — instances of one
-//!   family (equal configuration except the bound) whose trajectories
-//!   are still identical — paying the shared phases (simulation,
-//!   rebase, candidate generation, mask building, scoring) once and
-//!   only the bound-dependent selection, trials, and commits per
-//!   member, with trial and commit results memoized across members.
-//!   Its return value tells the caller how the cohort partitions after
-//!   the round: members that committed the same edit stay together,
-//!   everyone else gets forked caches.
+//! - [`step_cohort`] is the one round driver. It advances a *cohort* —
+//!   instances of one family (equal configuration except the bound)
+//!   whose trajectories are still identical — paying the shared phases
+//!   (simulation, rebase, candidate generation through the store, mask
+//!   building, top-k scoring) once and only the bound-dependent
+//!   selection, trials, and commits per member, with trial and commit
+//!   results memoized across members. Its return value tells the
+//!   caller how the cohort partitions after the round: members that
+//!   committed the same edit stay together, everyone else gets forked
+//!   caches;
+//! - [`FlowInstance`] is a resumable flow value, and
+//!   [`FlowInstance::step`] runs one round as a cohort of one.
 //!
 //! The determinism contract is inherited, not re-proven per scheduler:
 //! every per-member decision consumes only that member's own state
 //! (configuration, error, RNG) plus round data that is a pure function
 //! of the shared circuit — so a member's trajectory through any cohort
-//! schedule is bit-identical to a standalone run.
+//! schedule is bit-identical to a standalone run. The standalone run is
+//! in turn pinned, round for round, to `fuzzkit::reference`: the dense
+//! flow that regenerates, rescores and re-simulates everything.
 
 use crate::conflict::find_solve_conflicts;
 use crate::indep::select_indep_lacs;
@@ -46,7 +48,7 @@ use crate::{AccalsConfig, SynthesisResult};
 use aig::{Aig, Lit, NodeId};
 use bitsim::{simulate, simulate_into, ConeTopology, PatchSimulator, Patterns, Sim};
 use errmetrics::{error, ErrorEval, MetricKind};
-use estimate::{BatchEstimator, MaskCache};
+use estimate::{BatchEstimator, MaskCache, TopkStats};
 use lac::{apply_all, ApplyReport, CandidateStore, GenCounters, Lac, ScoredLac};
 use parkit::{ScratchPool, ThreadPool};
 use prng::rngs::StdRng;
@@ -149,9 +151,7 @@ pub(crate) struct RoundShared {
     sim: Sim,
     topo: Arc<ConeTopology>,
     scored: Vec<ScoredLac>,
-    n_cands_eff: usize,
-    scored_exact: usize,
-    scored_pruned: usize,
+    topk: TopkStats,
     gen_ctrs: GenCounters,
     candgen_ms: f64,
     mask_ms: f64,
@@ -196,6 +196,13 @@ pub(crate) fn prepare_round(
     } else {
         Vec::new()
     };
+    let roll = |rolled: bool| {
+        if rolled {
+            Some(identity.as_slice())
+        } else {
+            pending.as_deref()
+        }
+    };
     let mut store_rolled = false;
     let mut mask_rolled = false;
     // Two full rotations bound the empty-window retries: one pass over
@@ -219,59 +226,37 @@ pub(crate) fn prepare_round(
         let win_mask = win.as_ref().map(|w| w.mask.as_slice());
         let window_targets = win.as_ref().map_or(0, |w| w.targets);
         let t_candgen = Instant::now();
-        let store_remap = if store_rolled {
-            Some(identity.as_slice())
-        } else {
-            pending.as_deref()
-        };
-        let (cands, gen_ctrs) = if cfg.incremental_candgen {
-            let cands = caches.store.generate(
-                current,
-                &sim,
-                &cfg.candidates,
-                store_remap,
-                pool,
-                win_mask,
-            );
-            store_rolled = true;
-            (cands, caches.store.last_gen_counters())
-        } else {
-            lac::generate_candidates_windowed_counted(current, &sim, &cfg.candidates, win_mask)
-        };
+        let cands = caches.store.generate(
+            current,
+            &sim,
+            &cfg.candidates,
+            roll(store_rolled),
+            pool,
+            win_mask,
+        );
+        store_rolled = true;
+        let gen_ctrs = caches.store.last_gen_counters();
         let candgen_ms = ms(t_candgen.elapsed());
         if cands.is_empty() {
             continue;
         }
-        let mask_remap = if mask_rolled {
-            Some(identity.as_slice())
-        } else {
-            pending.as_deref()
-        };
-        let mut estimator =
-            BatchEstimator::with_cache(current, &sim, &caches.eval, &mut caches.mask, mask_remap)
-                .use_pool(pool);
+        let mut estimator = BatchEstimator::with_cache(
+            current,
+            &sim,
+            &caches.eval,
+            &mut caches.mask,
+            roll(mask_rolled),
+        )
+        .use_pool(pool);
         mask_rolled = true;
-        // Pruned scoring only ever needs candidates that can enter the
-        // round's top set: `r_top` never exceeds `max(r_ref, r_min)` (ties
-        // at the minimum are always scored exactly), and the single-mode
-        // ladder looks at the first 64 — so `max(r_ref, 64)` exact scores
-        // cover every consumer.
-        let k_topk = r_ref.max(64);
-        let (mut scored, topk_stats) = if cfg.pruned_scoring {
-            let (s, stats) = if cfg.incremental_candgen {
-                estimator.score_topk_cached(&cands, &caches.store.devs(), k_topk)
-            } else {
-                estimator.score_topk(&cands, k_topk)
-            };
-            (s, Some(stats))
-        } else {
-            let s = if cfg.incremental_candgen {
-                estimator.score_all_cached(&cands, &caches.store.devs())
-            } else {
-                estimator.score_all(&cands)
-            };
-            (s, None)
-        };
+        // Only candidates that can enter the round's top set need exact
+        // scores: `r_top` never exceeds `max(r_ref, r_min)` (ties at the
+        // minimum are always scored exactly), and the single-mode ladder
+        // looks at the first 64 — so `max(r_ref, 64)` covers every
+        // consumer. Candidates whose gain is not positive (changes that
+        // cost more nodes than their MFFC frees are not LACs at all) are
+        // filtered before scoring.
+        let (scored, topk) = estimator.score_topk(&cands, &caches.store.devs(), r_ref.max(64));
         let phases = estimator.phases();
         let topo = Arc::clone(estimator.topology());
         drop(estimator);
@@ -280,16 +265,6 @@ pub(crate) fn prepare_round(
             // the rotation has left are cheap to recompute on return.
             caches.mask.retain_only(w);
         }
-        // A LAC must reduce hardware cost; changes that cost more nodes
-        // than their MFFC frees are not LACs at all. The top-k path already
-        // filtered them before scoring.
-        let (n_cands_eff, scored_exact, scored_pruned) = match topk_stats {
-            Some(st) => (st.n_candidates, st.n_exact, st.n_pruned),
-            None => {
-                scored.retain(|s| s.gain > 0);
-                (scored.len(), scored.len(), 0)
-            }
-        };
         if scored.is_empty() {
             continue;
         }
@@ -298,9 +273,7 @@ pub(crate) fn prepare_round(
             sim,
             topo,
             scored,
-            n_cands_eff,
-            scored_exact,
-            scored_pruned,
+            topk,
             gen_ctrs,
             candgen_ms,
             mask_ms: phases.mask_ms,
@@ -378,7 +351,8 @@ impl<'a> RoundCtx<'_, 'a> {
     }
 
     /// The measured error of a committed circuit, by full simulation
-    /// into one of the flow's free signature buffers.
+    /// into one of the flow's free signature buffers. Debug builds hold
+    /// every fresh commit's trial error to it.
     fn measure_committed(&self, aig: &Aig) -> f64 {
         let sim = simulate_into(aig, self.pats, self.sig_bufs.take().unwrap_or_default());
         let e = error(
@@ -432,16 +406,15 @@ impl<'a> RoundScratch<'a> {
         m
     }
 
-    /// Memoized commit of `lacs`: clone, apply, cleanup. With
-    /// `e_trial` the trial-measured error stands in for the full
-    /// re-measure (bit-identical by the [`TrialEval`] contract —
-    /// debug builds verify it on every fresh commit); without it the
-    /// committed circuit is measured in full.
+    /// Memoized commit of `lacs`: clone, apply, cleanup. The
+    /// trial-measured error `e_trial` stands in for a full re-measure
+    /// (bit-identical by the [`TrialEval`] contract — debug builds
+    /// verify it on every fresh commit).
     fn commit(
         &mut self,
         ctx: &RoundCtx<'_, 'a>,
         lacs: &[ScoredLac],
-        e_trial: Option<f64>,
+        e_trial: f64,
     ) -> Arc<Committed> {
         let key: Vec<Lac> = lacs.iter().map(|s| s.lac).collect();
         if let Some(c) = self.commits.get(&key) {
@@ -450,20 +423,14 @@ impl<'a> RoundScratch<'a> {
         let mut copy = ctx.current.clone();
         let report = apply_all(&mut copy, &key);
         let remap = copy.cleanup().expect("editing keeps the graph acyclic");
-        let e_after = match e_trial {
-            Some(e) => {
-                debug_assert_eq!(
-                    ctx.measure_committed(&copy).to_bits(),
-                    e.to_bits(),
-                    "trial measurement diverged from the committed circuit"
-                );
-                e
-            }
-            None => ctx.measure_committed(&copy),
-        };
+        debug_assert_eq!(
+            ctx.measure_committed(&copy).to_bits(),
+            e_trial.to_bits(),
+            "trial measurement diverged from the committed circuit"
+        );
         let c = Arc::new(Committed {
             aig: copy,
-            e_after,
+            e_after: e_trial,
             report,
             remap,
         });
@@ -485,9 +452,9 @@ pub(crate) fn decide_round<'a>(
 ) -> (Arc<Committed>, RoundTrace) {
     let single_mode = ctx.e > ctx.cfg.l_e * ctx.cfg.error_bound;
     if single_mode {
-        return single_round(ctx, scratch, &shared.scored, shared.n_cands_eff);
+        return single_round(ctx, scratch, &shared.scored, shared.topk.n_candidates);
     }
-    let (c1, t1) = multi_round(ctx, scratch, rng, &shared.scored, shared.n_cands_eff);
+    let (c1, t1) = multi_round(ctx, scratch, rng, &shared.scored, shared.topk.n_candidates);
     let progress = t1.applied > 0
         && c1.aig.n_ands() <= ctx.current.n_ands()
         && (c1.aig.n_ands() < ctx.current.n_ands() || t1.e_after != ctx.e);
@@ -499,7 +466,7 @@ pub(crate) fn decide_round<'a>(
         // expensive simulate + estimate work is already paid for, so
         // this stays one round rather than burning a fresh estimation
         // pass on the retry.
-        single_round(ctx, scratch, &shared.scored, shared.n_cands_eff)
+        single_round(ctx, scratch, &shared.scored, shared.topk.n_candidates)
     }
 }
 
@@ -528,68 +495,33 @@ fn single_round<'a>(
         })
         .clone();
     let select_ms = ms(t_select.elapsed());
-    let trial_ms;
-    let mut commit_ms = 0.0;
     // Try candidates in order until one makes progress (area shrinks,
     // or the error moves at equal area — never area growth, which
     // would let the flow cycle). A candidate that overshoots the
     // bound is terminal: Algorithm 1 stops there.
-    let (best, committed) = if ctx.cfg.incremental_trials {
-        let t_trial = Instant::now();
-        let picked = pick_single_trial(ctx, scratch, &top);
-        trial_ms = ms(t_trial.elapsed());
-        let (i, m) = picked.expect("scored list is non-empty");
-        let best = top[i].clone();
-        let t_commit = Instant::now();
-        let c = scratch.commit(ctx, std::slice::from_ref(&best), Some(m.e_after));
-        commit_ms = ms(t_commit.elapsed());
-        (best, c)
-    } else {
-        let t_trial = Instant::now();
-        let mut last: Option<(ScoredLac, Arc<Committed>)> = None;
-        for best in &top {
-            let c = scratch.commit(ctx, std::slice::from_ref(best), None);
-            let progress = c.aig.n_ands() <= ctx.current.n_ands()
-                && (c.aig.n_ands() < ctx.current.n_ands() || c.e_after != ctx.e);
-            let terminal = c.e_after > ctx.cfg.error_bound;
-            let done = progress || terminal;
-            last = Some((best.clone(), c));
-            if done {
-                break;
-            }
-        }
-        trial_ms = ms(t_trial.elapsed());
-        last.expect("scored list is non-empty")
-    };
+    let t_trial = Instant::now();
+    let (i, m) = pick_single_trial(ctx, scratch, &top).expect("scored list is non-empty");
+    let trial_ms = ms(t_trial.elapsed());
+    let best = &top[i];
+    let t_commit = Instant::now();
+    let committed = scratch.commit(ctx, std::slice::from_ref(best), m.e_after);
+    let commit_ms = ms(t_commit.elapsed());
     let trace = RoundTrace {
-        round: 0,
         single_mode: true,
         n_candidates,
         r_top: 1,
         n_sol: 1,
         n_indp: 1,
-        n_rand: 0,
-        chose_indp: false,
         applied: committed.report.applied,
         dropped_cycle: committed.report.dropped_cycle,
-        reverted: false,
         e_before: ctx.e,
         e_after: committed.e_after,
         e_est: ctx.e + best.delta_e,
         n_ands_after: committed.aig.n_ands(),
-        scored_exact: 0,
-        scored_pruned: 0,
-        candgen_ms: 0.0,
-        mask_ms: 0.0,
-        score_ms: 0.0,
         select_ms,
         trial_ms,
         commit_ms,
-        candgen_probe_draws: 0,
-        candgen_strip_cmps: 0,
-        candgen_pool_hits: 0,
-        candgen_pool_misses: 0,
-        window_targets: 0,
+        ..RoundTrace::default()
     };
     (committed, trace)
 }
@@ -703,44 +635,53 @@ fn multi_round<'a>(
     };
     let select_ms = ms(t_select.elapsed());
 
-    if cfg.incremental_trials {
-        return multi_round_incremental(
-            ctx, scratch, n_candidates, &l_top, l_sol.len(), &l_indp, &l_rand, select_ms,
-        );
-    }
-
+    // Trial-measure the independent and the random set (concurrently
+    // when the pool has threads to spare), pick the winner, run the
+    // `l_d` negative-set check on the trial measurements, and only then
+    // commit the chosen set through the round's one real apply.
     let t_trial = Instant::now();
-    let c1 = scratch.commit(ctx, &l_indp, None);
-    let (mut committed, mut chose_indp, mut chosen): (Arc<Committed>, bool, &[ScoredLac]) =
-        (c1, true, &l_indp);
-    if cfg.race_random {
-        let c2 = scratch.commit(ctx, &l_rand, None);
-        chose_indp = committed.e_after < c2.e_after
-            || (committed.e_after == c2.e_after && l_indp.len() >= l_rand.len());
-        if !chose_indp {
-            committed = c2;
-            chosen = &l_rand;
-        }
-    }
+    let (e1, e2) = if cfg.race_random && ctx.pool.threads() > 1 {
+        let sets = [l_indp.as_slice(), l_rand.as_slice()];
+        let es = ctx.pool.par_map_collect(&sets, |_, set| {
+            let mut te = ctx.trial_eval();
+            let e = te.measure(set, false).e_after;
+            ctx.release(te);
+            e
+        });
+        (es[0], es[1])
+    } else {
+        let e1 = scratch.trial(ctx, &l_indp, false).e_after;
+        let e2 = if cfg.race_random {
+            scratch.trial(ctx, &l_rand, false).e_after
+        } else {
+            f64::INFINITY
+        };
+        (e1, e2)
+    };
+
+    let chose_indp = !cfg.race_random || e1 < e2 || (e1 == e2 && l_indp.len() >= l_rand.len());
+    let (mut e_after, mut chosen) = if chose_indp {
+        (e1, l_indp.as_slice())
+    } else {
+        (e2, l_rand.as_slice())
+    };
     let mut e_est = ctx.e + chosen.iter().map(|s| s.delta_e).sum::<f64>();
 
     // Improvement technique 2: detect a negative LAC set and revert
     // to applying only the single best LAC.
     let mut reverted = false;
-    if committed.e_after > 0.0 {
-        let beta = (committed.e_after - e_est) / committed.e_after;
-        if beta > cfg.l_d {
-            let best = l_top[0].clone();
-            committed = scratch.commit(ctx, std::slice::from_ref(&best), None);
-            e_est = ctx.e + best.delta_e;
-            reverted = true;
-        }
+    if e_after > 0.0 && (e_after - e_est) / e_after > cfg.l_d {
+        chosen = &l_top[..1];
+        e_after = scratch.trial(ctx, chosen, false).e_after;
+        e_est = ctx.e + chosen[0].delta_e;
+        reverted = true;
     }
     let trial_ms = ms(t_trial.elapsed());
 
+    let t_commit = Instant::now();
+    let committed = scratch.commit(ctx, chosen, e_after);
+    let commit_ms = ms(t_commit.elapsed());
     let trace = RoundTrace {
-        round: 0,
-        single_mode: false,
         n_candidates,
         r_top: l_top.len(),
         n_sol: l_sol.len(),
@@ -751,120 +692,13 @@ fn multi_round<'a>(
         dropped_cycle: committed.report.dropped_cycle,
         reverted,
         e_before: ctx.e,
-        e_after: committed.e_after,
-        e_est,
-        n_ands_after: committed.aig.n_ands(),
-        scored_exact: 0,
-        scored_pruned: 0,
-        candgen_ms: 0.0,
-        mask_ms: 0.0,
-        score_ms: 0.0,
-        select_ms,
-        trial_ms,
-        commit_ms: 0.0,
-        candgen_probe_draws: 0,
-        candgen_strip_cmps: 0,
-        candgen_pool_hits: 0,
-        candgen_pool_misses: 0,
-        window_targets: 0,
-    };
-    (committed, trace)
-}
-
-/// The multi-mode race over the incremental engine: trial-measures the
-/// independent and the random set (concurrently when the pool has
-/// threads to spare), picks the winner by the same rule as the
-/// committed race, runs the `l_d` negative-set check on trial
-/// measurements, and only then commits the chosen set through the one
-/// real apply-and-measure of the round.
-#[allow(clippy::too_many_arguments)]
-fn multi_round_incremental<'a>(
-    ctx: &RoundCtx<'_, 'a>,
-    scratch: &mut RoundScratch<'a>,
-    n_candidates: usize,
-    l_top: &[ScoredLac],
-    n_sol: usize,
-    l_indp: &[ScoredLac],
-    l_rand: &[ScoredLac],
-    select_ms: f64,
-) -> (Arc<Committed>, RoundTrace) {
-    let cfg = ctx.cfg;
-    let t_trial = Instant::now();
-    let (e1, e2) = if cfg.race_random && ctx.pool.threads() > 1 {
-        let sets = [l_indp, l_rand];
-        let es = ctx.pool.par_map_collect(&sets, |_, set| {
-            let mut te = ctx.trial_eval();
-            let e = te.measure(set, false).e_after;
-            ctx.release(te);
-            e
-        });
-        (es[0], es[1])
-    } else {
-        let e1 = scratch.trial(ctx, l_indp, false).e_after;
-        let e2 = if cfg.race_random {
-            scratch.trial(ctx, l_rand, false).e_after
-        } else {
-            f64::INFINITY
-        };
-        (e1, e2)
-    };
-
-    let chose_indp = !cfg.race_random || e1 < e2 || (e1 == e2 && l_indp.len() >= l_rand.len());
-    let (mut e_after, mut chosen) = if chose_indp { (e1, l_indp) } else { (e2, l_rand) };
-    let mut e_est = ctx.e + chosen.iter().map(|s| s.delta_e).sum::<f64>();
-
-    // Improvement technique 2: detect a negative LAC set and revert
-    // to applying only the single best LAC.
-    let mut reverted = false;
-    let best_holder;
-    if e_after > 0.0 {
-        let beta = (e_after - e_est) / e_after;
-        if beta > cfg.l_d {
-            best_holder = l_top[0].clone();
-            e_after = scratch
-                .trial(ctx, std::slice::from_ref(&best_holder), false)
-                .e_after;
-            e_est = ctx.e + best_holder.delta_e;
-            reverted = true;
-            chosen = std::slice::from_ref(&best_holder);
-        }
-    }
-    let trial_ms = ms(t_trial.elapsed());
-
-    // Commit the round's one real apply + cleanup; the trial error
-    // stands in for the full re-measure (bit-identical by contract).
-    let t_commit = Instant::now();
-    let committed = scratch.commit(ctx, chosen, Some(e_after));
-    let commit_ms = ms(t_commit.elapsed());
-    let trace = RoundTrace {
-        round: 0,
-        single_mode: false,
-        n_candidates,
-        r_top: l_top.len(),
-        n_sol,
-        n_indp: l_indp.len(),
-        n_rand: l_rand.len(),
-        chose_indp,
-        applied: committed.report.applied,
-        dropped_cycle: committed.report.dropped_cycle,
-        reverted,
-        e_before: ctx.e,
         e_after,
         e_est,
         n_ands_after: committed.aig.n_ands(),
-        scored_exact: 0,
-        scored_pruned: 0,
-        candgen_ms: 0.0,
-        mask_ms: 0.0,
-        score_ms: 0.0,
         select_ms,
         trial_ms,
         commit_ms,
-        candgen_probe_draws: 0,
-        candgen_strip_cmps: 0,
-        candgen_pool_hits: 0,
-        candgen_pool_misses: 0,
-        window_targets: 0,
+        ..RoundTrace::default()
     };
     (committed, trace)
 }
@@ -872,7 +706,7 @@ fn multi_round_incremental<'a>(
 /// A resumable Algorithm 1 flow: one [`FlowInstance::step`] runs one
 /// round against externally-owned [`FlowCaches`], leaving the instance
 /// ready for the next round (or finished). Driving `step` to
-/// completion with the caches it was created with is bit-identical to
+/// completion with the caches it was created with is exactly
 /// [`crate::Accals::synthesize`].
 #[derive(Debug)]
 pub struct FlowInstance {
@@ -1007,8 +841,8 @@ impl FlowInstance {
         t.candgen_ms = shared.candgen_ms;
         t.mask_ms = shared.mask_ms;
         t.score_ms = shared.score_ms;
-        t.scored_exact = shared.scored_exact;
-        t.scored_pruned = shared.scored_pruned;
+        t.scored_exact = shared.topk.n_exact;
+        t.scored_pruned = shared.topk.n_pruned;
         t.candgen_probe_draws = shared.gen_ctrs.probe_draws;
         t.candgen_strip_cmps = shared.gen_ctrs.strip_cmps;
         t.candgen_pool_hits = shared.gen_ctrs.pool_hits;
@@ -1090,61 +924,11 @@ impl FlowInstance {
         RoundOutcome::Adopt
     }
 
-    /// Runs one round. Returns `false` once the flow has converged —
-    /// the instance then holds the final circuit and error.
+    /// Runs one round: [`step_cohort`] over a cohort of one. Returns
+    /// `false` once the flow has converged — the instance then holds
+    /// the final circuit and error.
     pub fn step(&mut self, caches: &mut FlowCaches) -> bool {
-        if self.finished {
-            return false;
-        }
-        if self.round >= self.cfg.max_rounds {
-            self.finish();
-            return false;
-        }
-        let Some(shared) = prepare_round(
-            &self.cfg,
-            self.pool,
-            &self.current,
-            &self.pats,
-            &self.golden_sigs,
-            caches,
-            self.r_ref,
-        ) else {
-            self.finish();
-            return false;
-        };
-        let mut scratch = RoundScratch::default();
-        let ctx = RoundCtx {
-            cfg: &self.cfg,
-            pool: self.pool,
-            golden_sigs: &self.golden_sigs,
-            pats: &self.pats,
-            current: &self.current,
-            sim: &shared.sim,
-            topo: &shared.topo,
-            eval: &caches.eval,
-            patches: &caches.patches,
-            sig_bufs: &caches.sig_bufs,
-            e: self.e,
-            r_ref: self.r_ref,
-            r_sel: self.r_sel,
-        };
-        let (committed, mut t) = decide_round(&ctx, &shared, &mut self.rng, &mut scratch);
-        scratch.finish(&caches.patches);
-        self.fill_shared(&mut t, &shared);
-        match self.conclude(&committed, t) {
-            RoundOutcome::Adopt => {
-                caches.last_remap = Some(committed.remap.clone());
-                true
-            }
-            RoundOutcome::Retry => {
-                // The circuit revision did not change; the caches roll
-                // through the identity so the next round's window sees
-                // them at current ids.
-                caches.last_remap = Some(identity_remap(self.current.n_nodes()));
-                true
-            }
-            RoundOutcome::Finish => false,
-        }
+        !self.finished && !step_cohort(std::slice::from_mut(self), caches).is_empty()
     }
 
     /// Consumes the instance into the standard synthesis result.
@@ -1232,54 +1016,36 @@ fn step_cohort_impl(
         }
         return Vec::new();
     }
-    // The shared base circuit. Cloned out so member state can be
-    // borrowed mutably during the per-member decisions.
-    let base = members[0].current.clone();
+    // The shared base circuit, moved out of the first member (no copy)
+    // so member state can be borrowed mutably during the per-member
+    // decisions; it is moved back before any member concludes.
+    let base = std::mem::replace(&mut members[0].current, Aig::new("", 0));
     debug_assert!(
-        members.iter().all(|m| m.current.n_nodes() == base.n_nodes()),
+        members[1..]
+            .iter()
+            .all(|m| m.current.n_nodes() == base.n_nodes()),
         "cohort members share one circuit"
     );
-    let pats = members[0].pats.clone();
-    let golden_sigs = members[0].golden_sigs.clone();
-    let (rep_cfg, rep_pool, rep_r_ref) = (members[0].cfg.clone(), members[0].pool, members[0].r_ref);
-    let Some(shared) =
-        prepare_round(&rep_cfg, rep_pool, &base, &pats, &golden_sigs, caches, rep_r_ref)
-    else {
+    let base_nodes = base.n_nodes();
+    let decisions = decide_cohort(members, &base, caches);
+    members[0].current = base;
+    let Some(decisions) = decisions else {
         for m in members.iter_mut() {
             m.finish();
         }
         return Vec::new();
     };
-
-    let mut scratch = RoundScratch::default();
-    let mut outcomes: Vec<Option<Option<Arc<Committed>>>> = Vec::with_capacity(members.len());
-    for m in members.iter_mut() {
-        let ctx = RoundCtx {
-            cfg: &m.cfg,
-            pool: m.pool,
-            golden_sigs: &golden_sigs,
-            pats: &pats,
-            current: &base,
-            sim: &shared.sim,
-            topo: &shared.topo,
-            eval: &caches.eval,
-            patches: &caches.patches,
-            sig_bufs: &caches.sig_bufs,
-            e: m.e,
-            r_ref: m.r_ref,
-            r_sel: m.r_sel,
-        };
-        let (committed, mut t) = decide_round(&ctx, &shared, &mut m.rng, &mut scratch);
-        m.fill_shared(&mut t, &shared);
-        // Outer option: still continuing. Inner option: adopted an edit
-        // (`None` = windowed retry from the unchanged revision).
-        outcomes.push(match m.conclude(&committed, t) {
+    // Outer option: still continuing. Inner option: adopted an edit
+    // (`None` = windowed retry from the unchanged revision).
+    let outcomes: Vec<Option<Option<Arc<Committed>>>> = members
+        .iter_mut()
+        .zip(decisions)
+        .map(|(m, (committed, t))| match m.conclude(&committed, t) {
             RoundOutcome::Adopt => Some(Some(committed)),
             RoundOutcome::Retry => Some(None),
             RoundOutcome::Finish => None,
-        });
-    }
-    scratch.finish(&caches.patches);
+        })
+        .collect();
 
     // Partition continuing members by committed-edit identity (memo
     // Arc pointer): members that committed the same set share the same
@@ -1333,7 +1099,7 @@ fn step_cohort_impl(
             Some(c) => c.remap.clone(),
             // Retry branch: the base circuit is unchanged, so its
             // caches roll through the identity.
-            None => identity_remap(base.n_nodes()),
+            None => identity_remap(base_nodes),
         };
         if gi == 0 {
             // The first group keeps the shared caches; its remap is
@@ -1353,4 +1119,51 @@ fn step_cohort_impl(
         }
     }
     out
+}
+
+/// The shared phases of one cohort round over `base`, then every
+/// member's bound-dependent decision, in member order. `None` when the
+/// flow has converged (the round would break for every member).
+fn decide_cohort(
+    members: &mut [FlowInstance],
+    base: &Aig,
+    caches: &mut FlowCaches,
+) -> Option<Vec<(Arc<Committed>, RoundTrace)>> {
+    let rep = &members[0];
+    let (pats, golden_sigs) = (rep.pats.clone(), rep.golden_sigs.clone());
+    let shared = prepare_round(
+        &rep.cfg,
+        rep.pool,
+        base,
+        &pats,
+        &golden_sigs,
+        caches,
+        rep.r_ref,
+    )?;
+    let mut scratch = RoundScratch::default();
+    let decisions = members
+        .iter_mut()
+        .map(|m| {
+            let ctx = RoundCtx {
+                cfg: &m.cfg,
+                pool: m.pool,
+                golden_sigs: &golden_sigs,
+                pats: &pats,
+                current: base,
+                sim: &shared.sim,
+                topo: &shared.topo,
+                eval: &caches.eval,
+                patches: &caches.patches,
+                sig_bufs: &caches.sig_bufs,
+                e: m.e,
+                r_ref: m.r_ref,
+                r_sel: m.r_sel,
+            };
+            let (committed, mut t) = decide_round(&ctx, &shared, &mut m.rng, &mut scratch);
+            m.fill_shared(&mut t, &shared);
+            (committed, t)
+        })
+        .collect();
+    scratch.finish(&caches.patches);
+    Some(decisions)
 }

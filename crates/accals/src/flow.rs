@@ -198,7 +198,6 @@ impl Accals {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,33 +246,6 @@ mod tests {
         assert_eq!(a.error, b.error);
         assert_eq!(a.aig.n_ands(), b.aig.n_ands());
         assert_eq!(a.rounds.len(), b.rounds.len());
-    }
-
-    #[test]
-    fn pruned_scoring_synthesizes_identical_circuits() {
-        // The top-k scorer is sound: the whole synthesis trajectory —
-        // rounds, applied edits, errors, final circuit — must be
-        // bit-identical with pruning on and off.
-        for (metric, bound) in [(MetricKind::Nmed, 0.002), (MetricKind::Er, 0.05)] {
-            let golden = benchgen::multipliers::array_multiplier(4);
-            let on = Accals::new(quick_cfg(metric, bound)).synthesize(&golden);
-            let mut cfg = quick_cfg(metric, bound);
-            cfg.pruned_scoring = false;
-            let off = Accals::new(cfg).synthesize(&golden);
-            assert_eq!(on.error.to_bits(), off.error.to_bits());
-            assert_eq!(on.aig.n_ands(), off.aig.n_ands());
-            assert_eq!(on.rounds.len(), off.rounds.len());
-            for (a, b) in on.rounds.iter().zip(&off.rounds) {
-                assert_eq!(a.applied, b.applied);
-                assert_eq!(a.e_after.to_bits(), b.e_after.to_bits());
-                assert_eq!(a.n_ands_after, b.n_ands_after);
-                assert_eq!(a.n_candidates, b.n_candidates);
-                assert_eq!(a.r_top, b.r_top);
-                // The dense run scores the whole retained population.
-                assert_eq!(b.scored_exact, a.scored_exact + a.scored_pruned);
-                assert_eq!(b.scored_pruned, 0);
-            }
-        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl SizeParam {
 /// Configuration for an AccALS run. Defaults follow Section III of the
 /// paper: `t_b = 0.5`, `λ = 0.9`, `l_e = 0.9`, `l_d = 0.3`, with
 /// `r_ref`/`r_sel` banded by circuit size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccalsConfig {
     /// The statistical error metric to constrain.
     pub metric: MetricKind,
@@ -144,28 +144,6 @@ pub struct AccalsConfig {
     /// 7-12 of Algorithm 1). Disabling this always applies `L_indp`;
     /// used by the ablation experiments.
     pub race_random: bool,
-    /// Score trial applications with the incremental engine
-    /// ([`TrialEval`]: journaled edits, cone-union re-simulation,
-    /// affected-output error replay) instead of cloning and fully
-    /// re-simulating per trial. The synthesized circuit is identical
-    /// either way — measurements are bit-identical by construction — so
-    /// this exists for benchmarking the speedup and as a fallback.
-    pub incremental_trials: bool,
-    /// Generate candidates through the cross-round
-    /// [`lac::CandidateStore`] (dirty-region regeneration plus cached
-    /// deviation masks for scoring) instead of from scratch every round.
-    /// The candidate lists and scores are bit-identical either way — the
-    /// store's invalidation contract is exact — so this exists for
-    /// benchmarking the speedup and as a fallback.
-    pub incremental_candgen: bool,
-    /// Score rounds through the bound-driven top-k estimator
-    /// (`estimate::BatchEstimator::score_topk`): candidates whose error
-    /// lower bound proves they cannot enter the round's top set are
-    /// abandoned early instead of scored exactly. Sound by
-    /// construction — the selected top set, and therefore the
-    /// synthesized circuit, is bit-identical either way — so this
-    /// exists for benchmarking the speedup and as a fallback.
-    pub pruned_scoring: bool,
     /// Windowed rounds: restrict each round's candidate targets to a
     /// bounded, rotating region of the circuit ([`WindowSpec`]). `None`
     /// (the default) runs dense rounds over the whole graph. Window
@@ -198,9 +176,6 @@ impl AccalsConfig {
             seed: 0xACC_A15,
             max_rounds: 100_000,
             race_random: true,
-            incremental_trials: true,
-            incremental_candgen: true,
-            pruned_scoring: true,
             window: None,
         }
     }
@@ -211,24 +186,14 @@ impl AccalsConfig {
     /// prefixes until the bound-dependent selection diverges, so the
     /// sweep engine may share simulation and cache state between them.
     pub fn family_eq(&self, other: &AccalsConfig) -> bool {
-        self.metric == other.metric
-            && self.t_b.to_bits() == other.t_b.to_bits()
-            && self.lambda.to_bits() == other.lambda.to_bits()
-            && self.l_e.to_bits() == other.l_e.to_bits()
-            && self.l_d.to_bits() == other.l_d.to_bits()
-            && self.r_ref == other.r_ref
-            && self.r_sel == other.r_sel
-            && self.candidates == other.candidates
-            && self.mis == other.mis
-            && self.max_exhaustive == other.max_exhaustive
-            && self.n_random_patterns == other.n_random_patterns
-            && self.seed == other.seed
-            && self.max_rounds == other.max_rounds
-            && self.race_random == other.race_random
-            && self.incremental_trials == other.incremental_trials
-            && self.incremental_candgen == other.incremental_candgen
-            && self.pruned_scoring == other.pruned_scoring
-            && self.window == other.window
+        // `validate_config` rejects NaN in every float field but the
+        // bound, and ±0.0 compare and behave alike, so `==` is exact
+        // once the bound is equalized.
+        let other = AccalsConfig {
+            error_bound: self.error_bound,
+            ..other.clone()
+        };
+        *self == other
     }
 }
 
@@ -257,6 +222,57 @@ mod tests {
         assert_eq!(SizeParam::Auto.resolve(5000, 0), 400);
         assert_eq!(SizeParam::Auto.resolve(9999, 1), 80);
         assert_eq!(SizeParam::Fixed(7).resolve(5000, 0), 7);
+    }
+
+    #[test]
+    fn family_eq_ignores_only_the_bound() {
+        let base = AccalsConfig::new(MetricKind::Nmed, 0.01);
+        let mut other = base.clone();
+        other.error_bound = 0.02;
+        assert!(base.family_eq(&other) && other.family_eq(&base));
+        // Destructuring makes a field added later fail to compile here
+        // until it is given a variant below.
+        let AccalsConfig {
+            metric: _,
+            error_bound: _,
+            t_b: _,
+            lambda: _,
+            l_e: _,
+            l_d: _,
+            r_ref: _,
+            r_sel: _,
+            candidates: _,
+            mis: _,
+            max_exhaustive: _,
+            n_random_patterns: _,
+            seed: _,
+            max_rounds: _,
+            race_random: _,
+            window: _,
+        } = &base;
+        let variants: [fn(&mut AccalsConfig); 15] = [
+            |c| c.metric = MetricKind::Er,
+            |c| c.t_b = 0.25,
+            |c| c.lambda = 0.5,
+            |c| c.l_e = 0.5,
+            |c| c.l_d = 0.5,
+            |c| c.r_ref = SizeParam::Fixed(7),
+            |c| c.r_sel = SizeParam::Fixed(7),
+            |c| c.candidates.seed ^= 1,
+            |c| c.mis = MisStrategy::Exact,
+            |c| c.max_exhaustive += 1,
+            |c| c.n_random_patterns += 1,
+            |c| c.seed ^= 1,
+            |c| c.max_rounds -= 1,
+            |c| c.race_random = false,
+            |c| c.window = Some(WindowSpec { max_targets: 64 }),
+        ];
+        for (i, vary) in variants.iter().enumerate() {
+            let mut changed = other.clone();
+            vary(&mut changed);
+            assert!(!base.family_eq(&changed), "variant {i} kept the family");
+            assert!(!changed.family_eq(&base), "variant {i} kept the family");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 /// Per-round diagnostics of an AccALS run, used by the statistical
 /// analysis experiments (Fig. 4 of the paper) and for debugging.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundTrace {
     /// Round number, starting at 0.
     pub round: usize,
@@ -37,17 +37,14 @@ pub struct RoundTrace {
     pub e_est: f64,
     /// AIG gate count after the round (post-cleanup).
     pub n_ands_after: usize,
-    /// Candidates scored to an exact `ΔE` this round. With pruned
-    /// scoring off this equals the retained (`gain > 0`) candidate
-    /// count. The exact/pruned split is schedule-dependent (see
-    /// `estimate::TopkStats`) — diagnostics only, never part of the
-    /// determinism contract.
+    /// Candidates scored to an exact `ΔE` this round. The exact/pruned
+    /// split is schedule-dependent (see `estimate::TopkStats`) —
+    /// diagnostics only, never part of the determinism contract.
     pub scored_exact: usize,
-    /// Candidates abandoned early by the top-k lower bound this round
-    /// (0 with pruned scoring off).
+    /// Candidates abandoned early by the top-k lower bound this round.
     pub scored_pruned: usize,
-    /// Wall-clock spent generating candidates (fresh or rolled through
-    /// the [`lac::CandidateStore`]), in milliseconds.
+    /// Wall-clock spent generating candidates through the
+    /// [`lac::CandidateStore`], in milliseconds.
     pub candgen_ms: f64,
     /// Wall-clock spent computing missing transfer masks, in
     /// milliseconds.
@@ -70,8 +67,8 @@ pub struct RoundTrace {
     /// Strip-kernel invocations during candidate generation (wire
     /// distances plus binary/ternary truth-table scans).
     pub candgen_strip_cmps: u64,
-    /// Store entries carried across the generation roll (0 on fresh
-    /// generation or a flush).
+    /// Store entries carried across the generation roll (0 on the
+    /// first round or a flush).
     pub candgen_pool_hits: u64,
     /// Nodes whose candidates were (re)generated this round.
     pub candgen_pool_misses: u64,

@@ -260,12 +260,18 @@ fn bench_topk(
     let n_retained = dense_scored.len();
     let dense_top = obtain_top_set(dense_scored.clone(), e, e_b, TOPK_R_REF);
 
+    // The fresh top-k arm builds each candidate's deviation mask inside
+    // the timed region, as a round without a candidate store would.
     let mut topk_ms: Vec<f64> = Vec::with_capacity(REPEATS);
     let mut last = None;
     for _ in 0..REPEATS {
+        let t0 = Instant::now();
+        let masks = direct_masks(sim, cands);
+        let views: Vec<DevView<'_>> = masks.iter().map(DevMask::view).collect();
+        let build_ms = t0.elapsed().as_secs_f64() * 1e3;
         let mut est = BatchEstimator::new(g, sim, &eval).use_pool(par);
-        let (scored, stats) = est.score_topk(cands, K_TOPK);
-        topk_ms.push(est.phases().score_ms);
+        let (scored, stats) = est.score_topk(cands, &views, K_TOPK);
+        topk_ms.push(build_ms + est.phases().score_ms);
         last = Some((scored, stats));
     }
     topk_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -275,23 +281,23 @@ fn bench_topk(
     check_agreement(name, &dense_top, &pruned_top);
 
     // Cached arms: the candidate store's deviation views stand in for
-    // the fresh per-candidate mask builds, as on every warm round.
+    // the fresh per-candidate mask builds, as on every warm round. The
+    // dense cached arm scores every candidate exactly from the views.
     let mut dense_cached_ms: Vec<f64> = Vec::with_capacity(REPEATS);
     let mut cached_scored = Vec::new();
     for _ in 0..REPEATS {
         let mut est = BatchEstimator::new(g, sim, &eval).use_pool(par);
-        cached_scored = est.score_all_cached(cands, devs);
+        cached_scored = score_every(&mut est, cands, devs);
         dense_cached_ms.push(est.phases().score_ms);
     }
     dense_cached_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    cached_scored.retain(|s| s.gain > 0);
-    check_agreement(name, &dense_scored, &cached_scored);
+    check_agreement(name, &flow_sorted(dense_scored.clone()), &cached_scored);
 
     let mut topk_cached_ms: Vec<f64> = Vec::with_capacity(REPEATS);
     let mut last = None;
     for _ in 0..REPEATS {
         let mut est = BatchEstimator::new(g, sim, &eval).use_pool(par);
-        let (scored, stats) = est.score_topk_cached(cands, devs, K_TOPK);
+        let (scored, stats) = est.score_topk(cands, devs, K_TOPK);
         topk_cached_ms.push(est.phases().score_ms);
         last = Some((scored, stats));
     }
@@ -661,11 +667,11 @@ fn bench_circuit(name: &str, serial: &'static ThreadPool, par: &'static ThreadPo
         candgen_warm_ctrs = store.last_gen_counters();
         let mut est = BatchEstimator::with_cache(&g2, &sim2, &eval2, &mut cache, Some(&remap2))
             .use_pool(par);
-        let warm_scored = est.score_all_cached(&warm_cands, &store.devs());
+        let warm_scored = score_every(&mut est, &warm_cands, &store.devs());
         pipe_warm.push(t0.elapsed().as_secs_f64() * 1e3);
         pipe_warm_phases = est.phases();
         assert_eq!(warm_cands, cands2, "{name}: warm candidate list diverged");
-        check_agreement(name, &fresh2, &warm_scored);
+        check_agreement(name, &flow_sorted(fresh2.clone()), &warm_scored);
         store_stats = Some(store.stats());
     }
     candgen_warm.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -677,11 +683,7 @@ fn bench_circuit(name: &str, serial: &'static ThreadPool, par: &'static ThreadPo
     // Topk scenario: dense vs bound-pruned scoring phase, per metric,
     // fresh and through precomputed deviation views (the warm-round
     // currency the candidate store hands the estimator).
-    let mut dev_scratch = vec![0u64; sim0.stride()];
-    let dev_masks: Vec<DevMask> = cands0
-        .iter()
-        .map(|l| DevMask::of(&sim0, l, &mut dev_scratch))
-        .collect();
+    let dev_masks = direct_masks(&sim0, &cands0);
     let dev_views: Vec<DevView<'_>> = dev_masks.iter().map(|d| d.view()).collect();
     let topk = [("er", MetricKind::Er), ("nmed", MetricKind::Nmed), ("mred", MetricKind::Mred)]
         .into_iter()
@@ -715,6 +717,41 @@ fn bench_circuit(name: &str, serial: &'static ThreadPool, par: &'static ThreadPo
         store_regenerated: sstats.regenerated,
         topk,
     }
+}
+
+/// Each candidate's deviation mask, computed directly from `sim`.
+fn direct_masks(sim: &bitsim::Sim, cands: &[Lac]) -> Vec<DevMask> {
+    let mut scratch = vec![0u64; sim.stride()];
+    cands
+        .iter()
+        .map(|l| DevMask::of(sim, l, &mut scratch))
+        .collect()
+}
+
+/// Every `gain > 0` candidate scored exactly from precomputed deviation
+/// masks: with `k` covering the whole list the top-k scorer prunes
+/// nothing, so this is dense scoring, returned in flow order.
+fn score_every(
+    est: &mut BatchEstimator<'_>,
+    cands: &[Lac],
+    devs: &[DevView<'_>],
+) -> Vec<ScoredLac> {
+    est.score_topk(cands, devs, cands.len().max(1)).0
+}
+
+/// Dense `score_all` output reduced to what [`score_every`] returns:
+/// the `gain > 0` candidates in flow order (`ΔE`, gain desc, target;
+/// the stable sort keeps input order among ties).
+fn flow_sorted(mut scored: Vec<ScoredLac>) -> Vec<ScoredLac> {
+    scored.retain(|s| s.gain > 0);
+    scored.sort_by(|a, b| {
+        a.delta_e
+            .partial_cmp(&b.delta_e)
+            .unwrap()
+            .then(b.gain.cmp(&a.gain))
+            .then(a.lac.tn.cmp(&b.lac.tn))
+    });
+    scored
 }
 
 /// The sparse/parallel/cached paths all promise bit-identical scores;
@@ -754,9 +791,11 @@ fn smoke(par: &'static ThreadPool) {
             dense.retain(|s| s.gain > 0);
             let n = dense.len();
             let dense_top = obtain_top_set(dense, 0.0, 1.0, TOPK_R_REF);
+            let masks = direct_masks(&sim, &cands);
+            let views: Vec<DevView<'_>> = masks.iter().map(DevMask::view).collect();
             let (scored, stats) = BatchEstimator::new(&g, &sim, &eval)
                 .use_pool(par)
-                .score_topk(&cands, K_TOPK);
+                .score_topk(&cands, &views, K_TOPK);
             assert_eq!(stats.n_candidates, n, "{name}/{m}: population");
             let pruned_top = obtain_top_set_from(scored, 0.0, 1.0, TOPK_R_REF, stats.n_candidates);
             check_agreement(name, &dense_top, &pruned_top);
@@ -818,16 +857,16 @@ fn smoke(par: &'static ThreadPool) {
         {
             let mut est = BatchEstimator::with_cache(&g1, &sim1, &eval1, &mut cache, None)
                 .use_pool(par);
-            est.score_topk_cached(&rolled, &devs, K_TOPK);
-            est.score_all_cached(&rolled, &devs);
+            est.score_topk(&rolled, &devs, K_TOPK);
+            est.score_all(&rolled);
         }
         let allocs = cache.dev_pool().allocations();
         {
             let mut est =
                 BatchEstimator::with_cache(&g1, &sim1, &eval1, &mut cache, Some(&identity))
                     .use_pool(par);
-            est.score_topk_cached(&rolled, &devs, K_TOPK);
-            est.score_all_cached(&rolled, &devs);
+            est.score_topk(&rolled, &devs, K_TOPK);
+            est.score_all(&rolled);
         }
         assert_eq!(
             cache.dev_pool().allocations(),

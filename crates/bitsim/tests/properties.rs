@@ -57,9 +57,9 @@ proptest! {
         for p in 0..pats.n_patterns() {
             let ins: Vec<bool> = (0..recipe.n_pis).map(|i| pats.bit(i, p)).collect();
             let want = g.eval(&ins);
-            for o in 0..g.n_pos() {
+            for (o, &bit) in want.iter().enumerate() {
                 let sig = sim.output_sig(&g, o);
-                prop_assert_eq!(sig[p / 64] >> (p % 64) & 1 == 1, want[o]);
+                prop_assert_eq!(sig[p / 64] >> (p % 64) & 1 == 1, bit);
             }
         }
     }

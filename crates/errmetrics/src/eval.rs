@@ -1191,7 +1191,7 @@ mod tests {
             .iter()
             .map(|s| s.iter().map(|w| w ^ (next() & next())).collect())
             .collect();
-        let mut word_set: Vec<u32> = (0..stride as u32).filter(|_| next() % 3 == 0).collect();
+        let mut word_set: Vec<u32> = (0..stride as u32).filter(|_| next().is_multiple_of(3)).collect();
         if word_set.is_empty() {
             word_set.push((next() % stride as u64) as u32);
         }
@@ -1204,7 +1204,7 @@ mod tests {
             .copied()
             .filter(|&w| dev[w as usize] != 0)
             .collect();
-        let outs: Vec<u32> = (0..n_outputs as u32).filter(|_| next() % 4 != 0).collect();
+        let outs: Vec<u32> = (0..n_outputs as u32).filter(|_| !next().is_multiple_of(4)).collect();
         let mut rows = vec![0u64; outs.len() * stride];
         for r in rows.iter_mut() {
             *r = next() & next();
@@ -1480,7 +1480,7 @@ mod tests {
         // 3 valid patterns in a 1-word signature with garbage in bit 3.
         let g = vec![vec![0b0000u64]];
         let mut e = ErrorEval::new(MetricKind::Er, &g, 3);
-        e.rebase(&vec![vec![0b1000u64]]); // differs only at invalid bit
+        e.rebase(&[vec![0b1000u64]]); // differs only at invalid bit
         assert_eq!(e.current(), 0.0);
     }
 }

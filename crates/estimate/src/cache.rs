@@ -38,23 +38,15 @@ pub struct MaskEntry {
     pub masks: Box<[u64]>,
 }
 
-/// Reusable per-chunk scratch for deviation-mask construction and
-/// candidate scoring. One worker chunk checks a buffer out of the
-/// [`DevPool`], fills the flat sparse arrays (one `(offset, len)`
-/// [`DevBuf::index`] entry per candidate) or uses the dense
-/// [`DevBuf::scratch`], and returns it — so steady-state scoring
-/// performs zero per-candidate heap allocations.
+/// Reusable per-chunk scratch for candidate scoring. One worker chunk
+/// checks a buffer out of the [`DevPool`], uses it for one candidate
+/// after another, and returns it — so steady-state scoring performs
+/// zero per-candidate heap allocations.
 #[derive(Debug, Default)]
 pub struct DevBuf {
-    /// Ascending sparse word indices, all candidates of a chunk
-    /// concatenated.
+    /// Ascending nonzero word indices of the current candidate's
+    /// deviation mask.
     pub words: Vec<u32>,
-    /// One deviation word per entry of `words`.
-    pub bits: Vec<u64>,
-    /// Per-candidate `(offset, len)` into `words`/`bits`.
-    pub index: Vec<(u32, u32)>,
-    /// Per-candidate deviating-pattern count (the top-k ordering proxy).
-    pub pops: Vec<u64>,
     /// Dense `stride`-word deviation scratch.
     pub scratch: Vec<u64>,
     /// Suffix-bound scratch for the general metric path.
@@ -85,9 +77,6 @@ impl DevPool {
     /// Returns a buffer, clearing the sparse arrays (capacity is kept).
     pub fn restore(&self, mut buf: DevBuf) {
         buf.words.clear();
-        buf.bits.clear();
-        buf.index.clear();
-        buf.pops.clear();
         self.bufs.put(buf);
     }
 

@@ -277,28 +277,6 @@ impl<'a> BatchEstimator<'a> {
         self.phases
     }
 
-    /// Scores every candidate: estimated error increase `ΔE` plus the
-    /// area gain (MFFC size minus new-function cost). Results are in
-    /// input order and bit-identical at any thread count.
-    pub fn score_all(&mut self, cands: &[Lac]) -> Vec<ScoredLac> {
-        self.score_inner(cands, None)
-    }
-
-    /// Like [`BatchEstimator::score_all`], but reuses precomputed
-    /// deviation masks (one view per candidate, e.g. from
-    /// [`lac::CandidateStore::devs`] or [`lac::DevMask::view`]) instead
-    /// of re-evaluating each candidate's substituted function against
-    /// the base simulation. Results are bit-identical to
-    /// [`BatchEstimator::score_all`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devs.len() != cands.len()`.
-    pub fn score_all_cached(&mut self, cands: &[Lac], devs: &[DevView<'_>]) -> Vec<ScoredLac> {
-        assert_eq!(devs.len(), cands.len(), "one deviation mask per candidate");
-        self.score_inner(cands, Some(devs))
-    }
-
     /// Shared phase-1 prep: distinct targets (ascending) with their
     /// candidate slot map and MFFC sizes, plus any transfer masks
     /// missing from the cache built in parallel over target nodes. Each
@@ -369,7 +347,13 @@ impl<'a> BatchEstimator<'a> {
         (targets, slot_of, mffcs)
     }
 
-    fn score_inner(&mut self, cands: &[Lac], devs: Option<&[DevView<'_>]>) -> Vec<ScoredLac> {
+    /// Scores every candidate: estimated error increase `ΔE` plus the
+    /// area gain (MFFC size minus new-function cost). Results are in
+    /// input order and bit-identical at any thread count. Each
+    /// deviation mask is recomputed from the base simulation, so this
+    /// dense path is the reference [`BatchEstimator::score_topk`] is
+    /// held to.
+    pub fn score_all(&mut self, cands: &[Lac]) -> Vec<ScoredLac> {
         if cands.is_empty() {
             return Vec::new();
         }
@@ -396,41 +380,24 @@ impl<'a> BatchEstimator<'a> {
                 eval.er_conditional_union(&entry.outs, &entry.masks, &mut e1);
                 e1
             });
-            pool.par_chunk_results(cands.len(), chunk, |_, range| match devs {
-                // Cached masks feed the sparse ER fold directly — no
-                // dense scatter, no scratch, no allocation at all.
-                Some(ds) => range
-                    .map(|ci| {
-                        let lac = &cands[ci];
-                        let slot = slot_of[&lac.tn] as usize;
-                        let d = ds[ci];
-                        let e_new = eval.er_with_deviation_sparse(d.words, d.bits, &e1s[slot]);
-                        ScoredLac {
-                            lac: *lac,
-                            delta_e: e_new - current,
-                            gain: mffcs[slot] - lac.new_node_cost() as i64,
-                        }
-                    })
-                    .collect(),
-                None => {
-                    let mut buf = dev_pool.checkout();
-                    buf.scratch.resize(stride, 0);
-                    let mut out = Vec::with_capacity(range.len());
-                    for ci in range {
-                        let lac = &cands[ci];
-                        let slot = slot_of[&lac.tn] as usize;
-                        buf.words.clear();
-                        fresh_dev_into(sim, lac, &mut buf.scratch, &mut buf.words);
-                        let e_new = eval.er_with_deviation(&buf.words, &buf.scratch, &e1s[slot]);
-                        out.push(ScoredLac {
-                            lac: *lac,
-                            delta_e: e_new - current,
-                            gain: mffcs[slot] - lac.new_node_cost() as i64,
-                        });
-                    }
-                    dev_pool.restore(buf);
-                    out
+            pool.par_chunk_results(cands.len(), chunk, |_, range| {
+                let mut buf = dev_pool.checkout();
+                buf.scratch.resize(stride, 0);
+                let mut out = Vec::with_capacity(range.len());
+                for ci in range {
+                    let lac = &cands[ci];
+                    let slot = slot_of[&lac.tn] as usize;
+                    buf.words.clear();
+                    fresh_dev_into(sim, lac, &mut buf.scratch, &mut buf.words);
+                    let e_new = eval.er_with_deviation(&buf.words, &buf.scratch, &e1s[slot]);
+                    out.push(ScoredLac {
+                        lac: *lac,
+                        delta_e: e_new - current,
+                        gain: mffcs[slot] - lac.new_node_cost() as i64,
+                    });
                 }
+                dev_pool.restore(buf);
+                out
             })
         } else {
             // Phase 2 (general metrics): score candidates in parallel.
@@ -439,44 +406,17 @@ impl<'a> BatchEstimator<'a> {
             // per-chunk scratch is the pooled dense deviation buffer.
             pool.par_chunk_results(cands.len(), chunk, |_, range| {
                 let mut buf = dev_pool.checkout();
-                // Cached masks scatter into the scratch (listed words
-                // only, cleared again after scoring), so it must start
-                // zeroed; fresh recomputation overwrites it anyway.
-                buf.scratch.clear();
+                // Every deviation is a full overwrite of the scratch.
                 buf.scratch.resize(stride, 0);
                 let mut out = Vec::with_capacity(range.len());
                 for ci in range {
                     let lac = &cands[ci];
                     let slot = slot_of[&lac.tn] as usize;
                     let entry = store.get(lac.tn).expect("mask entry was just built");
-                    let e_new = match devs {
-                        Some(ds) => {
-                            let d = ds[ci];
-                            for (k, &w) in d.words.iter().enumerate() {
-                                buf.scratch[w as usize] = d.bits[k];
-                            }
-                            let e = eval.with_masked_rows(
-                                d.words,
-                                &buf.scratch,
-                                &entry.outs,
-                                &entry.masks,
-                            );
-                            for &w in d.words {
-                                buf.scratch[w as usize] = 0;
-                            }
-                            e
-                        }
-                        None => {
-                            buf.words.clear();
-                            fresh_dev_into(sim, lac, &mut buf.scratch, &mut buf.words);
-                            eval.with_masked_rows(
-                                &buf.words,
-                                &buf.scratch,
-                                &entry.outs,
-                                &entry.masks,
-                            )
-                        }
-                    };
+                    buf.words.clear();
+                    fresh_dev_into(sim, lac, &mut buf.scratch, &mut buf.words);
+                    let e_new =
+                        eval.with_masked_rows(&buf.words, &buf.scratch, &entry.outs, &entry.masks);
                     out.push(ScoredLac {
                         lac: *lac,
                         delta_e: e_new - current,
@@ -515,36 +455,22 @@ impl<'a> BatchEstimator<'a> {
     /// list, where `t` covers every candidate whose `ΔE` is `<=` the
     /// `k'`-th smallest — in particular all ties at the k-th value are
     /// scored exactly, so downstream `r_min` tie-counting sees them.
-    /// This holds at any thread count and with fresh or cached
-    /// deviation masks; only the exact/pruned *counters* are
-    /// schedule-dependent.
-    pub fn score_topk(&mut self, cands: &[Lac], k: usize) -> (Vec<ScoredLac>, TopkStats) {
-        self.score_topk_inner(cands, None, k)
-    }
-
-    /// Like [`BatchEstimator::score_topk`], but reuses precomputed
-    /// deviation masks (one view per candidate). Bit-identical to
-    /// [`BatchEstimator::score_topk`].
+    /// This holds at any thread count; only the exact/pruned
+    /// *counters* are schedule-dependent.
+    ///
+    /// `devs` holds one deviation mask per candidate, e.g. from
+    /// [`lac::CandidateStore::devs`] or [`lac::DevMask::view`].
     ///
     /// # Panics
     ///
-    /// Panics if `devs.len() != cands.len()`.
-    pub fn score_topk_cached(
+    /// Panics if `k == 0` or `devs.len() != cands.len()`.
+    pub fn score_topk(
         &mut self,
         cands: &[Lac],
         devs: &[DevView<'_>],
         k: usize,
     ) -> (Vec<ScoredLac>, TopkStats) {
         assert_eq!(devs.len(), cands.len(), "one deviation mask per candidate");
-        self.score_topk_inner(cands, Some(devs), k)
-    }
-
-    fn score_topk_inner(
-        &mut self,
-        cands: &[Lac],
-        devs: Option<&[DevView<'_>]>,
-        k: usize,
-    ) -> (Vec<ScoredLac>, TopkStats) {
         assert!(k >= 1, "top-k needs k >= 1");
         if cands.is_empty() {
             return (Vec::new(), TopkStats::default());
@@ -552,7 +478,7 @@ impl<'a> BatchEstimator<'a> {
         let (targets, slot_of, mffcs) = self.prepare_targets(cands);
         let stride = self.sim.stride();
         let pool = self.pool;
-        let (sim, eval) = (self.sim, self.eval);
+        let eval = self.eval;
         let current = self.current_error;
         let kind = eval.kind();
         let store = self.cache.get();
@@ -562,8 +488,7 @@ impl<'a> BatchEstimator<'a> {
         // ER short-circuit: its sparse exact fold is cheaper than any
         // bound bookkeeping (the bound machinery used to *lose* to the
         // dense path here), so score every retained candidate exactly —
-        // gain filter and deviation-mask computation fused into the
-        // scoring pass, like the dense fast path — then keep only the
+        // gain filter fused into the sparse scoring pass — then keep only the
         // top k (plus ties) by a linear select. Bit-identity with the
         // dense sorted head is trivial: every returned `ΔE` is the
         // exact fold.
@@ -576,38 +501,19 @@ impl<'a> BatchEstimator<'a> {
             });
             let chunk = cands.len().div_ceil(pool.threads() * 4).max(1);
             let parts: Vec<Vec<(u32, f64)>> =
-                pool.par_chunk_results(cands.len(), chunk, |_, range| match devs {
-                    Some(ds) => range
+                pool.par_chunk_results(cands.len(), chunk, |_, range| {
+                    range
                         .filter_map(|ci| {
                             let lac = &cands[ci];
                             let slot = slot_of[&lac.tn] as usize;
                             if mffcs[slot] - lac.new_node_cost() as i64 <= 0 {
                                 return None;
                             }
-                            let d = ds[ci];
+                            let d = devs[ci];
                             let e_new = eval.er_with_deviation_sparse(d.words, d.bits, &e1s[slot]);
                             Some((ci as u32, e_new - current))
                         })
-                        .collect(),
-                    None => {
-                        let mut buf = dev_pool.checkout();
-                        buf.scratch.resize(stride, 0);
-                        let mut out = Vec::with_capacity(range.len());
-                        for ci in range {
-                            let lac = &cands[ci];
-                            let slot = slot_of[&lac.tn] as usize;
-                            if mffcs[slot] - lac.new_node_cost() as i64 <= 0 {
-                                continue;
-                            }
-                            buf.words.clear();
-                            fresh_dev_into(sim, lac, &mut buf.scratch, &mut buf.words);
-                            let e_new =
-                                eval.er_with_deviation(&buf.words, &buf.scratch, &e1s[slot]);
-                            out.push((ci as u32, e_new - current));
-                        }
-                        dev_pool.restore(buf);
-                        out
-                    }
+                        .collect()
                 });
             let mut all: Vec<(u32, f64)> = parts.into_iter().flatten().collect();
             let n_candidates = all.len();
@@ -666,61 +572,6 @@ impl<'a> BatchEstimator<'a> {
             return (Vec::new(), TopkStats::default());
         }
 
-        // Fresh path: deviation masks are computed up front (identical
-        // bits to the inline recomputation) so the proxy can order
-        // candidates before any scoring happens. Each worker chunk
-        // appends into one pooled flat buffer — per-candidate Box
-        // allocations were the old path's whole regression, so the pool
-        // is the point here, not a nicety.
-        let fresh_chunk = cands.len().div_ceil(pool.threads() * 4).max(1);
-        let built: Option<Vec<DevBuf>> = match devs {
-            Some(_) => None,
-            None => Some(pool.par_chunk_results(cands.len(), fresh_chunk, |_, range| {
-                let mut buf = dev_pool.checkout();
-                let DevBuf {
-                    words,
-                    bits,
-                    index,
-                    pops,
-                    scratch,
-                    ..
-                } = &mut buf;
-                scratch.resize(stride, 0);
-                for ci in range {
-                    let lac = &cands[ci];
-                    lac.signature_into(sim, scratch);
-                    let base = sim.sig(lac.tn);
-                    let start = words.len() as u32;
-                    let mut pop = 0u64;
-                    for (w, &s) in scratch.iter().enumerate() {
-                        let d = s ^ base[w];
-                        if d != 0 {
-                            words.push(w as u32);
-                            bits.push(d);
-                            pop += d.count_ones() as u64;
-                        }
-                    }
-                    index.push((start, words.len() as u32 - start));
-                    pops.push(pop);
-                }
-                buf
-            })),
-        };
-        let dev_of = |ci: usize| -> DevView<'_> {
-            match devs {
-                Some(ds) => ds[ci],
-                None => {
-                    let b = &built.as_ref().expect("fresh masks were built")[ci / fresh_chunk];
-                    let (off, len) = b.index[ci % fresh_chunk];
-                    let r = off as usize..(off + len) as usize;
-                    DevView {
-                        words: &b.words[r.clone()],
-                        bits: &b.bits[r],
-                    }
-                }
-            }
-        };
-
         // Cheap proxy: fewer deviating patterns usually means a smaller
         // error increase, so scoring those first seeds the shared
         // threshold near its final value and later candidates prune
@@ -728,16 +579,11 @@ impl<'a> BatchEstimator<'a> {
         // correctness never depends on this order.
         let mut order = order;
         order.sort_by_cached_key(|&ci| {
-            let ci = ci as usize;
-            match &built {
-                // The fresh pre-pass already counted the bits.
-                Some(bs) => bs[ci / fresh_chunk].pops[ci % fresh_chunk],
-                None => dev_of(ci)
-                    .bits
-                    .iter()
-                    .map(|b| b.count_ones() as u64)
-                    .sum::<u64>(),
-            }
+            devs[ci as usize]
+                .bits
+                .iter()
+                .map(|b| b.count_ones() as u64)
+                .sum::<u64>()
         });
 
         let thr = TopkThreshold::new(k, self.unsound_bound);
@@ -751,7 +597,7 @@ impl<'a> BatchEstimator<'a> {
             for oi in range {
                 let ci = order[oi] as usize;
                 let lac = &cands[ci];
-                let d = dev_of(ci);
+                let d = devs[ci];
                 let words = d.words;
                 let res = match kind {
                     MetricKind::Wce => {
@@ -799,12 +645,6 @@ impl<'a> BatchEstimator<'a> {
             dev_pool.restore(buf);
             out
         });
-
-        if let Some(bs) = built {
-            for b in bs {
-                dev_pool.restore(b);
-            }
-        }
 
         let mut picked: Vec<(u32, ScoredLac)> = exact
             .into_iter()
@@ -965,9 +805,10 @@ mod tests {
 
     #[test]
     fn cached_deviations_match_fresh_scoring() {
-        // score_all_cached with precomputed sparse deviation masks must
-        // be bit-identical to score_all recomputing them, on both the
-        // ER fast path and the general metric path.
+        // Scoring from precomputed sparse deviation masks with `k`
+        // covering every candidate (nothing can be pruned) must be
+        // bit-identical to score_all recomputing them, on both the ER
+        // fast path and the general metric path.
         let g = benchgen::adders::rca(6);
         let pats = Patterns::random(12, 320, 11);
         let sim = simulate(&g, &pats);
@@ -982,9 +823,10 @@ mod tests {
         for kind in [MetricKind::Er, MetricKind::Nmed] {
             let mut eval = ErrorEval::new(kind, &golden, pats.n_patterns());
             eval.rebase(&golden);
-            let fresh = BatchEstimator::new(&g, &sim, &eval).score_all(&cands);
-            let cached =
-                BatchEstimator::new(&g, &sim, &eval).score_all_cached(&cands, &dev_views);
+            let fresh = dense_sorted(BatchEstimator::new(&g, &sim, &eval).score_all(&cands));
+            let (cached, st) =
+                BatchEstimator::new(&g, &sim, &eval).score_topk(&cands, &dev_views, cands.len());
+            assert_eq!(st.n_pruned, 0);
             assert_eq!(fresh.len(), cached.len());
             for (f, c) in fresh.iter().zip(&cached) {
                 assert_eq!(f.lac, c.lac);
@@ -1106,17 +948,12 @@ mod tests {
             assert!(!dense.is_empty());
             for &k in &[1usize, 3, 8, 64, dense.len() + 100] {
                 for &pool in &pools {
-                    let (fresh, fs) = BatchEstimator::new(&g, &sim, &eval)
+                    let (topk, st) = BatchEstimator::new(&g, &sim, &eval)
                         .use_pool(pool)
-                        .score_topk(&cands, k);
-                    assert_eq!(fs.n_candidates, dense.len(), "{kind}: population differs");
-                    assert_eq!(fs.n_exact + fs.n_pruned, fs.n_candidates);
-                    assert_topk_prefix(&dense, &fresh, k);
-                    let (cached, cs) = BatchEstimator::new(&g, &sim, &eval)
-                        .use_pool(pool)
-                        .score_topk_cached(&cands, &dev_views, k);
-                    assert_eq!(cs.n_candidates, dense.len());
-                    assert_topk_prefix(&dense, &cached, k);
+                        .score_topk(&cands, &dev_views, k);
+                    assert_eq!(st.n_candidates, dense.len(), "{kind}: population differs");
+                    assert_eq!(st.n_exact + st.n_pruned, st.n_candidates);
+                    assert_topk_prefix(&dense, &topk, k);
                 }
             }
         }

@@ -14,7 +14,10 @@
 //!   edits, cleanup/compaction, and cache remap rolls — cross-checking
 //!   every incremental path against fresh recomputation at 1, 2, and 8
 //!   threads after every step, plus a BDD exact-error oracle against
-//!   exhaustive bit-parallel simulation for small circuits;
+//!   exhaustive bit-parallel simulation for small circuits, and short
+//!   end-to-end flows held to the reference flow;
+//! - [`reference`] is the dense, obviously correct Algorithm 1 flow the
+//!   production engine must match trajectory for trajectory;
 //! - [`shrink`] minimizes a failing case deterministically and prints a
 //!   single-line repro.
 //!
@@ -33,6 +36,7 @@ use std::str::FromStr;
 
 pub mod gen;
 pub mod ops;
+pub mod reference;
 pub mod shrink;
 
 pub use ops::{golden_circuit, run_case, CaseStats, Failure};

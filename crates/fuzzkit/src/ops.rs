@@ -12,11 +12,12 @@
 //! | incremental resimulation    | [`Sim::check_consistent`] fixpoint check, simulating into the previous round's recycled buffer |
 //! | `lac::CandidateStore`       | fresh [`generate_candidates`] lists + `DevMask` recomputation |
 //! | `estimate::MaskCache`       | fresh [`BatchEstimator::new`] ΔE bits at 1/2/8 threads; the cache's cone simulators last served an earlier revision |
-//! | `estimate` top-k pruning    | dense `obtain_top_set` bit-identity at 1/2/8 threads, fresh + cached masks |
+//! | `estimate` top-k pruning    | dense `obtain_top_set` bit-identity at 1/2/8 threads, direct + stored masks; unpruned top-k from stored masks vs dense scores |
 //! | `accals::TrialEval`         | clone → `apply_all` → `cleanup` → resimulate → re-measure, on patch scratch kept from earlier rounds |
 //! | `sweep` cohort sharing      | batched bound ladder vs standalone flows: bit-identical trajectories |
 //! | windowed candidate paths    | windowed generation (fresh + store-carried) vs full generation filtered to the window; full-span windowed flow vs dense flow bit-identity |
 //! | `errmetrics` end to end     | BDD exact error vs exhaustive simulation (≤14 inputs) |
+//! | the whole round pipeline    | [`crate::reference`] dense flow, ER + a mean metric at 1/2 threads: identical trajectory and final circuit |
 //!
 //! All floating-point comparisons on the incremental paths are
 //! *bit-identical* (`f64::to_bits`); only the BDD oracle uses an
@@ -33,7 +34,7 @@ use errmetrics::{ErrorEval, MetricKind};
 use estimate::{BatchEstimator, MaskCache};
 use lac::{
     apply_all, generate_candidates, generate_candidates_windowed_counted, CandidateConfig,
-    CandidateStore, DevMask, Lac, ScoredLac,
+    CandidateStore, DevMask, DevView, Lac, ScoredLac,
 };
 use parkit::ThreadPool;
 use prng::{rngs::StdRng, Rng, SeedableRng};
@@ -47,7 +48,8 @@ use crate::{gen, Fault, FuzzCase, Source};
 pub struct Failure {
     /// The case that failed; `case.to_string()` is the one-line repro.
     pub case: FuzzCase,
-    /// Index of the failing operation (`n_ops` for the final BDD pass).
+    /// Index of the failing operation (`n_ops` for the final BDD and
+    /// flow passes).
     pub op: usize,
     /// Which oracle tripped, e.g. `candidate-store/list`.
     pub oracle: String,
@@ -94,6 +96,8 @@ pub struct CaseStats {
     pub sweeps: usize,
     /// Windowed-vs-filtered candidate comparisons performed.
     pub windows: usize,
+    /// Flow configurations compared between production and reference.
+    pub flows: usize,
 }
 
 /// The thread counts every scoring comparison runs at.
@@ -207,8 +211,11 @@ impl<'c> Driver<'c> {
             ));
         }
         let mut scratch = vec![0u64; sim.stride()];
-        for (lac, dev) in fresh.iter().zip(&devs) {
-            let direct = DevMask::of(&sim, lac, &mut scratch);
+        let direct: Vec<DevMask> = fresh
+            .iter()
+            .map(|lac| DevMask::of(&sim, lac, &mut scratch))
+            .collect();
+        for ((lac, dev), direct) in fresh.iter().zip(&devs).zip(&direct) {
             if dev.words != &*direct.words || dev.bits != &*direct.bits {
                 return Err(self.fail(
                     "candidate-store/devmask",
@@ -216,6 +223,7 @@ impl<'c> Driver<'c> {
                 ));
             }
         }
+        let direct_devs: Vec<DevView<'_>> = direct.iter().map(DevMask::view).collect();
         self.stats.candidates += fresh.len();
 
         // Scoring: fresh estimators at 1/2/8 threads set the reference;
@@ -248,7 +256,20 @@ impl<'c> Driver<'c> {
                 return Err(self.fail("mask-cache/score", format!("cached at {t} threads: {d}")));
             }
         }
-        let cached_devs = BatchEstimator::with_cache(
+        // Top-k scoring from stored deviation masks vs the dense
+        // reference. With `k` covering every candidate nothing can be
+        // pruned, so the result must be exactly the retained (`gain > 0`)
+        // dense scores in flow order.
+        let retained: Vec<ScoredLac> = reference.iter().filter(|s| s.gain > 0).cloned().collect();
+        let mut dense_order = retained.clone();
+        dense_order.sort_by(|a, b| {
+            a.delta_e
+                .partial_cmp(&b.delta_e)
+                .expect("ΔE is never NaN")
+                .then(b.gain.cmp(&a.gain))
+                .then(a.lac.tn.cmp(&b.lac.tn))
+        });
+        let (all, _) = BatchEstimator::with_cache(
             &self.current,
             &sim,
             &eval,
@@ -256,17 +277,17 @@ impl<'c> Driver<'c> {
             Some(identity.as_slice()),
         )
         .use_pool(pools()[1])
-        .score_all_cached(&fresh, &devs);
-        if let Some(d) = score_diff(&reference, &cached_devs) {
-            return Err(self.fail("mask-cache/score_all_cached", d));
+        .score_topk(&fresh, &devs, fresh.len().max(1));
+        if let Some(d) = score_diff(&dense_order, &all) {
+            return Err(self.fail("mask-cache/devs", d));
         }
 
         // Top-k pruned scoring vs the dense reference: feeding the
         // pruned subset (with the full population count) into the
         // top-set selection must reproduce `obtain_top_set` over all
         // retained candidates bit-for-bit — members, ΔE bits, order —
-        // at every thread count, fresh and with cached deviation masks.
-        let retained: Vec<ScoredLac> = reference.iter().filter(|s| s.gain > 0).cloned().collect();
+        // at every thread count, from directly computed and from stored
+        // deviation masks.
         if !retained.is_empty() {
             let e = eval.current();
             // Decorrelated stream: the top-set knobs must not perturb
@@ -312,8 +333,8 @@ impl<'c> Driver<'c> {
             for (t, pool) in THREADS.iter().zip(pools()) {
                 let mut est = BatchEstimator::new(&self.current, &sim, &eval).use_pool(pool);
                 est.inject_unsound_bound(fault);
-                let (topk, st) = est.score_topk(&fresh, k);
-                check(format!("fresh at {t} threads"), topk, st)?;
+                let (topk, st) = est.score_topk(&fresh, &direct_devs, k);
+                check(format!("direct masks at {t} threads"), topk, st)?;
             }
             let mut est = BatchEstimator::with_cache(
                 &self.current,
@@ -324,8 +345,8 @@ impl<'c> Driver<'c> {
             )
             .use_pool(pools()[1]);
             est.inject_unsound_bound(fault);
-            let (topk, st) = est.score_topk_cached(&fresh, &devs, k);
-            check("cached devs at 2 threads".to_string(), topk, st)?;
+            let (topk, st) = est.score_topk(&fresh, &devs, k);
+            check("stored masks at 2 threads".to_string(), topk, st)?;
         }
 
         // Trial evaluation vs the committed path, then maybe commit.
@@ -493,6 +514,36 @@ impl<'c> Driver<'c> {
                 }
                 self.stats.bdd_checks += 1;
             }
+        }
+        Ok(())
+    }
+
+    /// The end-to-end oracle: short flows over the case's circuit, for
+    /// ER and one mean metric, through the production engine at 1 and 2
+    /// threads and through the dense [`crate::reference`] flow. The
+    /// trajectories must be identical round for round, down to the
+    /// final circuit.
+    fn flow_op(&mut self) -> Result<(), Failure> {
+        if self.golden.n_ands() == 0 {
+            return Ok(());
+        }
+        // Decorrelated stream, like the other flow-level oracles.
+        let mut krng = StdRng::seed_from_u64(crate::stream_u64(self.case.seed, 0xf10e));
+        let mean = [MetricKind::Nmed, MetricKind::Mred][krng.gen_range(0..2usize)];
+        for metric in [MetricKind::Er, mean] {
+            let bound = 0.004 * (1u32 << krng.gen_range(0..5u32)) as f64;
+            let mut cfg = AccalsConfig::new(metric, bound);
+            cfg.r_ref = SizeParam::Fixed(12);
+            cfg.r_sel = SizeParam::Fixed(3);
+            cfg.max_rounds = 6;
+            cfg.max_exhaustive = 1 << 10;
+            cfg.n_random_patterns = 128;
+            cfg.seed = krng.gen();
+            cfg.candidates = self.ccfg.clone();
+            crate::reference::compare(&cfg, &self.golden, &pools()[..2]).map_err(|d| {
+                self.fail("flow/reference", format!("{metric} bound {bound} at {d}"))
+            })?;
+            self.stats.flows += 1;
         }
         Ok(())
     }
@@ -939,5 +990,6 @@ fn run_case_inner(case: &FuzzCase, op_at: &std::cell::Cell<usize>) -> Result<Cas
     drv.op = case.n_ops;
     op_at.set(case.n_ops);
     drv.bdd_oracle()?;
+    drv.flow_op()?;
     Ok(drv.stats)
 }

@@ -182,7 +182,7 @@ mod tests {
     /// Tasks spawn a binary tree of successors; every node must execute
     /// exactly once and all workers must exit.
     fn run_tree(workers: usize, depth: u32) -> usize {
-        let queue = StealQueue::new(workers, 0xDEC0_DE);
+        let queue = StealQueue::new(workers, 0xDE_C0_DE);
         let executed = AtomicUsize::new(0);
         queue.push(0, depth);
         std::thread::scope(|s| {

@@ -193,8 +193,9 @@ impl SweepJob {
     }
 }
 
-/// Options controlling how a [`SweepJob`] executes. None of them
-/// affect per-instance results — only wall-clock and diagnostics.
+/// Options controlling how a [`SweepJob`] executes. Apart from the
+/// `stale_fork` fault hook, none of them affect per-instance results —
+/// only wall-clock and diagnostics.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Sweep worker threads; `0` means [`configured_sweep_threads`].

@@ -360,7 +360,7 @@ PIN * UNKNOWN 2 999 2.0 0.3 2.0 0.3
         assert_eq!(aoi.n_inputs, 3);
         // !(a&b | c): check one minterm: a=1,b=1,c=0 -> 0.
         assert_eq!(aoi.tt >> 0b011 & 1, 0);
-        assert_eq!(aoi.tt >> 0b000 & 1, 1);
+        assert_eq!(aoi.tt & 1, 1); // a=b=c=0 -> 1
         let xor = lib.cells().iter().find(|c| c.name == "XOR2").unwrap();
         assert_eq!(xor.tt, 0b0110);
     }

@@ -86,9 +86,7 @@ proptest! {
         let g = build(&recipe);
         let m = map(&g, &Library::mcnc_mini(), MapMode::Area);
         let mut defined = vec![false; m.n_inputs() + m.gates().len() + 8];
-        for i in 0..m.n_inputs() {
-            defined[i] = true;
-        }
+        defined[..m.n_inputs()].fill(true);
         for gate in m.gates() {
             for &input in &gate.inputs {
                 prop_assert!(

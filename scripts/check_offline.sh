@@ -21,22 +21,15 @@ if [ "$QUICK" -eq 0 ]; then
     cargo test -q --workspace --offline
 fi
 
-# Lint the crates the incremental round pipeline touches. Gated on
-# clippy being installed so a bare-toolchain checkout still passes
+# Lint every crate and every target (tests, benches, examples). Gated
+# on clippy being installed so a bare-toolchain checkout still passes
 # tier-1.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== lint (offline): cargo clippy -D warnings =="
-    cargo clippy --offline -p aig -p bitsim -p errmetrics -p lac \
-        -p estimate -p accals -p accals-bench -p fuzzkit \
-        -p parkit -p sweep -p benchgen -p circuitio -p misolver -- -D warnings
+    cargo clippy --offline --workspace --all-targets -- -D warnings
 else
     echo "== lint: cargo clippy not installed, skipping =="
 fi
-
-# The smoke run itself asserts that the incremental round pipeline
-# (trials + candidate store) commits bit-identically to the fresh path.
-echo "== bench smoke (offline): bench_flow --smoke =="
-cargo run --release --offline -p accals-bench --bin bench_flow -- --smoke
 
 # Estimation smoke: the bound-pruned top-k scorer must reproduce the
 # dense score-and-select top set bit-for-bit; warm candidate generation
@@ -61,8 +54,9 @@ echo "== bench smoke (offline): bench_window --smoke =="
 cargo run --release --offline -p accals-bench --bin bench_window -- --smoke
 
 # Fixed-seed smoke fuzz: a short deterministic soak of the differential
-# oracles (mask cache, candidate store, trial eval, BDD exact error) —
-# any divergence prints a one-line repro and fails the check.
+# oracles (mask cache, candidate store, trial eval, BDD exact error, and
+# whole flows against the reference flow) — any divergence prints a
+# one-line repro and fails the check.
 echo "== fuzz smoke (offline): fuzzkit --smoke =="
 cargo run --release --offline -p fuzzkit --bin fuzzkit -- --smoke
 

@@ -13,7 +13,7 @@ use aig::Aig;
 use bitsim::{simulate, Patterns, Sim};
 use errmetrics::{ErrorEval, MetricKind};
 use estimate::BatchEstimator;
-use lac::{generate_candidates, CandidateConfig, DevMask, DevView, Lac, ScoredLac};
+use lac::{generate_candidates, CandidateConfig, CandidateStore, DevMask, DevView, Lac, ScoredLac};
 use parkit::ThreadPool;
 
 const R_REF: usize = 40;
@@ -50,7 +50,7 @@ fn assert_sets_identical(dense: &[ScoredLac], pruned: &[ScoredLac], what: &str) 
     }
 }
 
-/// Dense top set and pruned top sets (1/2/8 threads × fresh/cached-dev)
+/// Dense top set and pruned top sets (1/2/8 threads × direct/store masks)
 /// over one circuit snapshot; asserts they are all bit-identical.
 fn check_snapshot(g: &Aig, sim: &Sim, eval: &ErrorEval, cands: &[Lac], what: &str) {
     let e = eval.current();
@@ -65,29 +65,31 @@ fn check_snapshot(g: &Aig, sim: &Sim, eval: &ErrorEval, cands: &[Lac], what: &st
     let n_retained = dense.len();
     let dense_top = obtain_top_set(dense, e, e_b, R_REF);
 
+    // Two deviation-mask sources: direct recomputation, and the
+    // candidate store's arena payloads (what the flow scores from).
     let mut scratch = vec![0u64; sim.stride()];
     let devs: Vec<DevMask> = cands
         .iter()
         .map(|l| DevMask::of(sim, l, &mut scratch))
         .collect();
     let dev_views: Vec<DevView<'_>> = devs.iter().map(|d| d.view()).collect();
+    let mut store = CandidateStore::new();
+    let ccfg = CandidateConfig::default();
+    let stored = store.generate(g, sim, &ccfg, None, leaked_pool(2), None);
+    assert_eq!(stored, cands, "{what}: store list is not fresh generation's");
+    let store_views = store.devs();
 
     let k = R_REF.max(64);
     for threads in [1, 2, 8] {
-        let (fresh, fs) = BatchEstimator::new(g, sim, eval)
-            .use_pool(leaked_pool(threads))
-            .score_topk(cands, k);
-        assert_eq!(fs.n_candidates, n_retained, "{what}: population drifted");
-        assert_eq!(fs.n_exact + fs.n_pruned, fs.n_candidates);
-        let fresh_top = obtain_top_set_from(fresh, e, e_b, R_REF, fs.n_candidates);
-        assert_sets_identical(&dense_top, &fresh_top, &format!("{what} fresh t={threads}"));
-
-        let (cached, cs) = BatchEstimator::new(g, sim, eval)
-            .use_pool(leaked_pool(threads))
-            .score_topk_cached(cands, &dev_views, k);
-        assert_eq!(cs.n_candidates, n_retained);
-        let cached_top = obtain_top_set_from(cached, e, e_b, R_REF, cs.n_candidates);
-        assert_sets_identical(&dense_top, &cached_top, &format!("{what} cached t={threads}"));
+        for (source, views) in [("direct", &dev_views), ("store", &store_views)] {
+            let (topk, st) = BatchEstimator::new(g, sim, eval)
+                .use_pool(leaked_pool(threads))
+                .score_topk(cands, views, k);
+            assert_eq!(st.n_candidates, n_retained, "{what}: population drifted");
+            assert_eq!(st.n_exact + st.n_pruned, st.n_candidates);
+            let top = obtain_top_set_from(topk, e, e_b, R_REF, st.n_candidates);
+            assert_sets_identical(&dense_top, &top, &format!("{what} {source} t={threads}"));
+        }
     }
 }
 
@@ -174,23 +176,16 @@ fn topset_identity_alu4() {
 
 #[test]
 fn whole_flow_identity_pruned_vs_dense() {
-    // End to end: synthesis with pruned scoring on and off must walk the
-    // identical trajectory and land on the identical circuit.
-    use accals::{Accals, AccalsConfig, SizeParam};
+    // End to end: the pruned production flow and the dense reference
+    // flow must walk the identical trajectory and land on the identical
+    // circuit.
+    use accals::{AccalsConfig, SizeParam};
     let golden = benchgen::multipliers::array_multiplier(4);
     let mut cfg = AccalsConfig::new(MetricKind::Nmed, 0.005);
     cfg.r_ref = SizeParam::Fixed(40);
     cfg.r_sel = SizeParam::Fixed(8);
-    let on = Accals::new(cfg.clone()).synthesize(&golden);
-    cfg.pruned_scoring = false;
-    let off = Accals::new(cfg).synthesize(&golden);
-    assert_eq!(on.error.to_bits(), off.error.to_bits());
-    assert_eq!(on.aig.n_ands(), off.aig.n_ands());
-    assert_eq!(on.rounds.len(), off.rounds.len());
-    for (a, b) in on.rounds.iter().zip(&off.rounds) {
-        assert_eq!(a.applied, b.applied);
-        assert_eq!(a.e_after.to_bits(), b.e_after.to_bits());
-        assert_eq!(a.n_ands_after, b.n_ands_after);
-        assert_eq!(a.r_top, b.r_top);
+    let pools = [1, 2, 8].map(leaked_pool);
+    if let Err(d) = fuzzkit::reference::compare(&cfg, &golden, &pools) {
+        panic!("production diverged from the reference at {d}");
     }
 }

@@ -8,11 +8,12 @@
 //! post-cleanup gate count, and the applied/dropped accounting — also
 //! when its re-simulation scratch last served another circuit revision,
 //! as the flow's pooled scratch does every round. The same promise lifts
-//! to the whole flow: with incremental trials on or off, at any thread
-//! count, `synthesize` commits the identical circuit through the
-//! identical round sequence.
+//! to the whole flow: at any thread count, `synthesize` with incremental
+//! trials commits the identical circuit through the identical round
+//! sequence as the reference flow, whose trials clone, apply and fully
+//! re-simulate.
 
-use accals::{Accals, AccalsConfig, SizeParam, TrialEval};
+use accals::{AccalsConfig, SizeParam, TrialEval};
 use aig::Aig;
 use bitsim::{simulate, ConeTopology, PatchSimulator, Patterns};
 use errmetrics::{error, ErrorEval, MetricKind};
@@ -181,31 +182,16 @@ fn trial_measure_matches_committed_path_mid_synthesis() {
 
 #[test]
 fn synthesis_is_identical_across_trial_paths_and_thread_counts() {
+    // Incremental trials (production) against clone-and-resimulate
+    // trials (reference), at every pool width: same rounds, same
+    // measured errors, same final circuit.
+    let pools = [1, 2, 8].map(leaked_pool);
     for (name, bound) in [("rca32", 0.05), ("mtp8", 0.02)] {
-        let golden = circuit(name);
-        let mut reference: Option<(usize, u64, usize)> = None;
-        for incremental in [false, true] {
-            for threads in [1usize, 2, 8] {
-                let mut cfg = AccalsConfig::new(MetricKind::Er, bound);
-                cfg.r_ref = SizeParam::Fixed(40);
-                cfg.r_sel = SizeParam::Fixed(8);
-                cfg.incremental_trials = incremental;
-                let result = Accals::new(cfg)
-                    .with_pool(leaked_pool(threads))
-                    .synthesize(&golden);
-                let key = (
-                    result.aig.n_ands(),
-                    result.error.to_bits(),
-                    result.rounds.len(),
-                );
-                match &reference {
-                    None => reference = Some(key),
-                    Some(r) => assert_eq!(
-                        *r, key,
-                        "{name}: incremental={incremental} threads={threads} diverged"
-                    ),
-                }
-            }
+        let mut cfg = AccalsConfig::new(MetricKind::Er, bound);
+        cfg.r_ref = SizeParam::Fixed(40);
+        cfg.r_sel = SizeParam::Fixed(8);
+        if let Err(d) = fuzzkit::reference::compare(&cfg, &circuit(name), &pools) {
+            panic!("{name}: incremental trials diverged from the reference at {d}");
         }
     }
 }
