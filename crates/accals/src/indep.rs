@@ -2,7 +2,7 @@
 //! `G_sol`, and the MIS-based selection of a likely-independent LAC set
 //! (Section II-D).
 
-use aig::cone::{tfo_mask, BitMask};
+use aig::cone::BitMask;
 use aig::{Aig, Fanouts, NodeId};
 use lac::ScoredLac;
 use misolver::{solve, Graph, MisStrategy};
@@ -43,7 +43,9 @@ pub fn influence_index(
 ///   holds exactly for `d <= max_hops`, the largest such `d`; so only the
 ///   nodes within `max_hops` forward hops of each TN are collected, and
 ///   none when every possible distance qualifies;
-/// - `|F(l)|` is counted once per TN rather than once per pair.
+/// - `|F(l)|` is counted once per TN rather than once per pair;
+/// - every TN's transitive fanout comes from one shared sweep
+///   ([`tfo_masks`]) instead of one BFS per TN.
 ///
 /// Memory is two node bitsets per TN instead of one `Option<u32>` per
 /// node per TN.
@@ -58,18 +60,19 @@ pub fn build_influence_graph(aig: &Aig, tns: &[NodeId], t_b: f64) -> Graph {
         return g;
     }
     let pool = parkit::global();
-    let fanouts = Fanouts::build(aig);
     let order = aig.topo_order().expect("acyclic");
     let mut pos = vec![0u32; aig.n_nodes()];
     for (i, id) in order.iter().enumerate() {
         pos[id.index()] = i as u32;
     }
-    // The per-TN cone passes are independent; compute them in parallel.
-    let tfos: Vec<BitMask> = pool.par_map_collect(tns, |_, &n| tfo_mask(aig, &fanouts, n));
+    let tfos = tfo_masks(aig, &order, tns);
     let tfo_sizes: Vec<usize> = tfos.iter().map(|m| m.count().max(1)).collect();
     let hops = max_hops(t_b, aig.n_nodes());
     let near: Vec<BitMask> = match hops {
-        Some(h) => pool.par_map_collect(tns, |_, &n| within_hops(aig, &fanouts, n, h)),
+        Some(h) => {
+            let fanouts = Fanouts::build(aig);
+            pool.par_map_collect(tns, |_, &n| within_hops(aig, &fanouts, n, h))
+        }
         None => Vec::new(),
     };
 
@@ -104,6 +107,47 @@ pub fn build_influence_graph(aig: &Aig, tns: &[NodeId], t_b: f64) -> Graph {
         g.add_edge(i, j);
     }
     g
+}
+
+/// The transitive fanout of every TN (each including the TN itself), the
+/// same node sets one fanout BFS per TN would find. One ascending sweep
+/// over the topological `order` carries a `tns.len()`-bit reach set per
+/// node — an AND node reaches what its fanins reach — and the sets are
+/// then transposed into one node bitset per TN, in parallel over blocks
+/// of 64 TNs.
+fn tfo_masks(aig: &Aig, order: &[NodeId], tns: &[NodeId]) -> Vec<BitMask> {
+    let n = aig.n_nodes();
+    let kw = tns.len().div_ceil(64);
+    let mut reach = vec![0u64; n * kw];
+    for (i, t) in tns.iter().enumerate() {
+        reach[t.index() * kw + i / 64] |= 1 << (i % 64);
+    }
+    for &id in order {
+        if let Some((a, b)) = aig.fanins(id) {
+            let (v, a, b) = (
+                id.index() * kw,
+                a.node().index() * kw,
+                b.node().index() * kw,
+            );
+            for j in 0..kw {
+                reach[v + j] |= reach[a + j] | reach[b + j];
+            }
+        }
+    }
+    let blocks: Vec<usize> = (0..kw).collect();
+    parkit::global()
+        .par_map_collect(&blocks, |_, &blk| {
+            let mut masks = vec![BitMask::zeros(n); (tns.len() - blk * 64).min(64)];
+            for v in 0..n {
+                let mut bits = reach[v * kw + blk];
+                while bits != 0 {
+                    masks[bits.trailing_zeros() as usize].set(v);
+                    bits &= bits - 1;
+                }
+            }
+            masks
+        })
+        .concat()
 }
 
 /// The largest forward distance `d >= 1` whose influence `1/d` exceeds
@@ -261,6 +305,30 @@ mod tests {
         assert!(graph.has_edge(0, 1));
         assert!(!graph.has_edge(0, 2));
         assert!(!graph.has_edge(1, 2));
+    }
+
+    #[test]
+    fn swept_tfos_match_per_target_bfs() {
+        // Targets on both chains, a repeated target, and enough of them
+        // to span more than one 64-target block.
+        let g = benchgen::adders::rca(24);
+        let ands: Vec<NodeId> = g.and_ids().collect();
+        let mut tns: Vec<NodeId> = ands.iter().copied().step_by(3).collect();
+        tns.push(ands[0]);
+        tns.extend((0..4).map(|i| g.pi(i).node()));
+        assert!(tns.len() > 64);
+        let fanouts = Fanouts::build(&g);
+        let order = g.topo_order().unwrap();
+        let swept = tfo_masks(&g, &order, &tns);
+        assert_eq!(swept.len(), tns.len());
+        for (t, m) in tns.iter().zip(&swept) {
+            let bfs = aig::cone::tfo_mask(&g, &fanouts, *t);
+            assert!(
+                (0..g.n_nodes()).all(|v| m.get(v) == bfs.get(v)),
+                "TFO of {t:?} differs"
+            );
+            assert_eq!(m.count(), bfs.count());
+        }
     }
 
     #[test]

@@ -36,10 +36,69 @@ pub use patch::PatchSimulator;
 pub use patterns::Patterns;
 pub use sim::{simulate, simulate_into, Sim};
 
-/// Counts the set bits in a signature slice, masking the tail word.
+/// Defines `$name` as the runtime-dispatched instance of the
+/// `#[inline(always)]` kernel body `$body`.
 ///
-/// `n_patterns` tells how many leading bits are valid.
-pub fn popcount(sig: &[u64], n_patterns: usize) -> usize {
+/// The body is written once and instantiated twice: as is, and inside a
+/// `#[target_feature(enable = "popcnt")]` function on `x86_64`. The
+/// generated entry point calls the POPCNT instance when std's cached
+/// `is_x86_feature_detected!("popcnt")` reports the instruction, and
+/// the scalar instance otherwise. A build without `target-cpu` settings
+/// compiles `count_ones` to a software bit-count sequence; the runtime
+/// choice gets the hardware instruction without baking a CPU
+/// requirement into the binary. Both instances compute the same
+/// values, so the scalar body is the test reference.
+///
+/// ```
+/// bitsim::dispatched! {
+///     /// Set bits of `a & b`.
+///     pub fn and_pop = and_pop_scalar(a: u64, b: u64) -> u32;
+/// }
+///
+/// #[inline(always)]
+/// fn and_pop_scalar(a: u64, b: u64) -> u32 {
+///     (a & b).count_ones()
+/// }
+///
+/// assert_eq!(and_pop(0b1110, 0b0111), and_pop_scalar(0b1110, 0b0111));
+/// ```
+#[macro_export]
+macro_rules! dispatched {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
+    ) => {
+        $(#[$attr])*
+        #[allow(unsafe_code)]
+        $vis fn $name($($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "popcnt")]
+                fn popcnt_instance($($arg: $ty),*) -> $ret {
+                    $body($($arg),*)
+                }
+                if std::arch::is_x86_feature_detected!("popcnt") {
+                    // SAFETY: `popcnt_instance` requires only the
+                    // `popcnt` feature, which the running CPU was just
+                    // detected to support.
+                    return unsafe { popcnt_instance($($arg),*) };
+                }
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
+dispatched! {
+    /// Counts the set bits in a signature slice, masking the tail word.
+    ///
+    /// `n_patterns` tells how many leading bits are valid.
+    pub fn popcount = popcount_scalar(sig: &[u64], n_patterns: usize) -> usize;
+}
+
+/// Scalar body of [`popcount`].
+#[inline(always)]
+fn popcount_scalar(sig: &[u64], n_patterns: usize) -> usize {
     let full = n_patterns / 64;
     let mut count: usize = sig[..full].iter().map(|w| w.count_ones() as usize).sum();
     let rem = n_patterns % 64;
@@ -60,5 +119,21 @@ mod tests {
         assert_eq!(popcount(&sig, 70), 70);
         assert_eq!(popcount(&sig, 64), 64);
         assert_eq!(popcount(&sig, 3), 3);
+    }
+
+    #[test]
+    fn dispatched_popcount_matches_scalar() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let sig: Vec<u64> = (0..40)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state ^ state >> 29
+            })
+            .collect();
+        for n in [0usize, 1, 63, 64, 65, 512, 513, 2047, 2560] {
+            assert_eq!(popcount(&sig, n), popcount_scalar(&sig, n), "n={n}");
+        }
     }
 }

@@ -1,4 +1,5 @@
 use crate::kinds::MetricKind;
+use bitsim::dispatched;
 
 /// Patterns per reduction chunk. The per-pattern reductions (value
 /// decoding, contribution sums) are computed chunk by chunk and folded
@@ -15,8 +16,13 @@ pub const PAT_CHUNK: usize = 4096;
 /// per-word fold order (and thus every rounded sum) is unchanged.
 const STRIP: usize = 8;
 
+/// Widest output count the integer word kernel handles (see
+/// [`ErrorEval::word_kernel_eligible`]): with 54 or more outputs a
+/// single pattern's error distance can already exceed `2^53`.
+const WORD_KERNEL_MAX_OUTPUTS: usize = 53;
+
 /// Outcome of a bounded scoring call ([`ErrorEval::masked_rows_bounded`]
-/// / [`ErrorEval::er_deviation_bounded`]): either the exact new error,
+/// / [`ErrorEval::masked_words_bounded`]): either the exact new error,
 /// or proof that the candidate's error increase exceeds the caller's
 /// threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,6 +85,15 @@ pub struct ErrorEval {
     /// how much error the not-yet-replayed words could still remove —
     /// the heart of [`ErrorEval::masked_rows_bounded`].
     word_base: Vec<f64>,
+    /// Whether [`ErrorEval::masked_words_bounded`] may score this
+    /// evaluator (see [`ErrorEval::word_kernel_eligible`]).
+    word_kernel: bool,
+    /// Word-major bit planes for the integer word kernel (eligible
+    /// evaluators only, else empty): word `w` owns `3 * n_outputs`
+    /// words, the golden values, the current values and
+    /// `|current - golden|`, plane `o` holding bit `o` of each of the
+    /// word's 64 patterns.
+    planes: Vec<u64>,
     // ER-only per-word union of the output diffs and its popcounts, so
     // sparse candidate scoring can rescore just the deviating words.
     er_words: Vec<u64>,
@@ -111,16 +126,19 @@ impl ErrorEval {
                 "arithmetic metrics support at most 128 outputs, got {n_outputs}"
             );
         }
-        let golden_vals = if arith {
-            decode_values(golden, n_patterns)
-        } else {
-            Vec::new()
-        };
+        let mut golden_vals = Vec::new();
+        if arith {
+            decode_values(golden, n_patterns, &mut golden_vals);
+        }
         let max_val = if n_outputs >= 128 {
             u128::MAX as f64
         } else {
             ((1u128 << n_outputs) - 1) as f64
         };
+        let word_kernel = matches!(kind, MetricKind::Med | MetricKind::Nmed)
+            && n_outputs <= WORD_KERNEL_MAX_OUTPUTS
+            && n_patterns as u128 * ((1u128 << n_outputs) - 1) <= 1u128 << 53;
+        let planes = vec![0u64; if word_kernel { 3 * n_outputs * stride } else { 0 }];
         let mut eval = ErrorEval {
             kind,
             n_patterns,
@@ -134,6 +152,8 @@ impl ErrorEval {
             cur_max: 0.0,
             chunk_sums: Vec::new(),
             word_base: Vec::new(),
+            word_kernel,
+            planes,
             golden: golden.iter().map(|s| s[..stride].to_vec()).collect(),
             golden_vals,
             er_words: Vec::new(),
@@ -141,6 +161,7 @@ impl ErrorEval {
             er_total: 0,
         };
         eval.recompute_contributions();
+        eval.refresh_planes(golden);
         eval
     }
 
@@ -162,6 +183,20 @@ impl ErrorEval {
     /// Words per signature.
     pub fn stride(&self) -> usize {
         self.stride
+    }
+
+    /// Whether [`ErrorEval::masked_words_bounded`] can score this
+    /// evaluator: the metric is MED or NMED and
+    /// `n_patterns * (2^n_outputs - 1) <= 2^53`.
+    ///
+    /// Every per-pattern contribution is then an integer of at most
+    /// `2^n_outputs - 1`, and every partial sum of contributions is an
+    /// integer of at most `2^53`, so each is exact in `f64`: the fold
+    /// `cur_sum + Σ (new - old)` is exact whatever the order or
+    /// grouping of its terms, and summing integer per-word deltas gives
+    /// the per-pattern fold's value bit for bit.
+    pub fn word_kernel_eligible(&self) -> bool {
+        self.word_kernel
     }
 
     /// The per-chunk partial sums of the canonical contribution fold
@@ -207,9 +242,30 @@ impl ErrorEval {
             }
         }
         if self.kind.is_arithmetic() {
-            self.cur_vals = decode_values(approx, self.n_patterns);
+            decode_values(approx, self.n_patterns, &mut self.cur_vals);
         }
         self.recompute_contributions();
+        self.refresh_planes(approx);
+    }
+
+    /// Refills every word's planes from the golden and the current
+    /// output signatures (eligible evaluators only).
+    fn refresh_planes(&mut self, approx: &[Vec<u64>]) {
+        if !self.word_kernel {
+            return;
+        }
+        let n = self.n_outputs;
+        let golden = &self.golden;
+        for (w, p) in self.planes.chunks_exact_mut(3 * n).enumerate() {
+            let (gold, rest) = p.split_at_mut(n);
+            let (cur, abs) = rest.split_at_mut(n);
+            for o in 0..n {
+                gold[o] = golden[o][w];
+                cur[o] = approx[o][w];
+                abs[o] = approx[o][w];
+            }
+            abs_diff_planes(abs, gold);
+        }
     }
 
     fn recompute_contributions(&mut self) {
@@ -561,14 +617,15 @@ impl ErrorEval {
     pub fn er_with_deviation(&self, words: &[u32], dev: &[u64], e1: &[u64]) -> f64 {
         assert_eq!(self.kind, MetricKind::Er, "ER-only scoring");
         debug_assert!(words.windows(2).all(|p| p[0] < p[1]), "words must ascend");
-        let mut count = self.er_total as i64;
-        for &w in words {
-            let w = w as usize;
-            let d = dev[w];
-            let acc = (self.er_words[w] & !d) | (e1[w] & d);
-            count += (acc & self.word_mask(w)).count_ones() as i64 - self.er_word_pops[w] as i64;
-        }
-        count as f64 / self.n_patterns as f64
+        let delta = er_dense_delta(
+            &self.er_words,
+            &self.er_word_pops,
+            e1,
+            words,
+            dev,
+            self.n_patterns,
+        );
+        (self.er_total as i64 + delta) as f64 / self.n_patterns as f64
     }
 
     /// [`ErrorEval::er_with_deviation`] taking the deviation values
@@ -585,63 +642,15 @@ impl ErrorEval {
         assert_eq!(self.kind, MetricKind::Er, "ER-only scoring");
         assert_eq!(bits.len(), words.len(), "one deviation word per index");
         debug_assert!(words.windows(2).all(|p| p[0] < p[1]), "words must ascend");
-        let mut count = self.er_total as i64;
-        for (j, &w) in words.iter().enumerate() {
-            let w = w as usize;
-            let d = bits[j];
-            let acc = (self.er_words[w] & !d) | (e1[w] & d);
-            count += (acc & self.word_mask(w)).count_ones() as i64 - self.er_word_pops[w] as i64;
-        }
-        count as f64 / self.n_patterns as f64
-    }
-
-    /// Like [`ErrorEval::er_with_deviation`], but taking the deviation
-    /// values sparsely (`bits[j]` is the deviation word at `words[j]`)
-    /// and checking a monotone lower bound before every word: the words
-    /// not yet counted can remove at most their remaining baseline
-    /// popcounts, so `(partial - remaining) / n - current` never exceeds
-    /// the final `ΔE`. `prune` is called with that bound (and finally
-    /// with the exact `ΔE`); returning `true` abandons the candidate.
-    /// When it never does, the result is bit-identical to
-    /// `er_with_deviation` — the bound is all integer arithmetic plus
-    /// the same two rounded ops the exact path ends with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a non-ER evaluator or with misaligned bits.
-    pub fn er_deviation_bounded(
-        &self,
-        words: &[u32],
-        bits: &[u64],
-        e1: &[u64],
-        current: f64,
-        mut prune: impl FnMut(f64) -> bool,
-    ) -> BoundedScore {
-        assert_eq!(self.kind, MetricKind::Er, "ER-only scoring");
-        assert_eq!(bits.len(), words.len(), "one deviation word per index");
-        let n = self.n_patterns as f64;
-        let mut remaining: i64 = words
-            .iter()
-            .map(|&w| self.er_word_pops[w as usize] as i64)
-            .sum();
-        let mut count = self.er_total as i64;
-        for (j, &w) in words.iter().enumerate() {
-            let lb_delta = (count - remaining) as f64 / n - current;
-            if prune(lb_delta) {
-                return BoundedScore::Pruned { lb_delta };
-            }
-            let w = w as usize;
-            let d = bits[j];
-            let acc = (self.er_words[w] & !d) | (e1[w] & d);
-            count += (acc & self.word_mask(w)).count_ones() as i64 - self.er_word_pops[w] as i64;
-            remaining -= self.er_word_pops[w] as i64;
-        }
-        let e = count as f64 / n;
-        let delta = e - current;
-        if prune(delta) {
-            return BoundedScore::Pruned { lb_delta: delta };
-        }
-        BoundedScore::Exact(e)
+        let delta = er_sparse_delta(
+            &self.er_words,
+            &self.er_word_pops,
+            e1,
+            words,
+            bits,
+            self.n_patterns,
+        );
+        (self.er_total as i64 + delta) as f64 / self.n_patterns as f64
     }
 
     /// Fused equivalent of materializing per-output flip rows
@@ -767,10 +776,7 @@ impl ErrorEval {
             self.masked_unions(strip, dev, outs.len(), rows, &mut unions);
             for (i, &w) in strip.iter().enumerate() {
                 let j = s * STRIP + i; // words folded so far
-                let r = base_suffix[j];
-                let margin =
-                    (((m - j) * 64) as f64 + 8.0) * 4.0 * f64::EPSILON * (sum.abs() + r);
-                let lb_delta = self.finalize(sum - r - margin, 0.0) - current;
+                let lb_delta = self.lower_bound(sum, base_suffix[j], m - j, current);
                 if prune(lb_delta) {
                     return BoundedScore::Pruned { lb_delta };
                 }
@@ -779,12 +785,94 @@ impl ErrorEval {
                 self.each_flipped(w, unions[i], &mut tog, |p, c| sum += c - self.contrib[p]);
             }
         }
+        self.bounded_result(sum, current, prune)
+    }
+
+    /// The lower bound on `ΔE` a bounded fold checks before its next
+    /// word: `sum` is the fold so far, `rest` the inflated baseline
+    /// mass of the `left` words still to fold (see
+    /// [`ErrorEval::masked_rows_bounded`] for why it is sound).
+    #[inline]
+    fn lower_bound(&self, sum: f64, rest: f64, left: usize, current: f64) -> f64 {
+        let margin = ((left * 64) as f64 + 8.0) * 4.0 * f64::EPSILON * (sum.abs() + rest);
+        self.finalize(sum - rest - margin, 0.0) - current
+    }
+
+    /// The end of a bounded fold: the exact new error, unless `prune`
+    /// rejects its exact `ΔE`.
+    #[inline]
+    fn bounded_result(
+        &self,
+        sum: f64,
+        current: f64,
+        mut prune: impl FnMut(f64) -> bool,
+    ) -> BoundedScore {
         let e = self.finalize(sum, 0.0);
         let delta = e - current;
         if prune(delta) {
             return BoundedScore::Pruned { lb_delta: delta };
         }
         BoundedScore::Exact(e)
+    }
+
+    /// [`ErrorEval::masked_rows_bounded`] on the integer word kernel,
+    /// for evaluators where [`ErrorEval::word_kernel_eligible`] holds.
+    /// The deviation mask comes sparsely — `bits[j]` is the deviation
+    /// word at `words[j]`, the shape `lac::DevMask` stores.
+    ///
+    /// Per deviating word `w` the flip set is
+    /// `f = dev & OR(rows) & word_mask`; the new output planes are
+    /// `cur_o ^ (row_o & f)`, a bit-sliced borrow chain and conditional
+    /// negate turn them into `|new - golden|` planes, and the word's
+    /// exact delta is
+    /// `Σ_o 2^o (popcnt(absnew_o & f) - popcnt(abscur_o & f))`. Under
+    /// eligibility every running sum is an integer of at most `2^53`,
+    /// so the sum before each word equals the per-pattern fold's bit
+    /// for bit; the bound checks see the same values and the call
+    /// returns exactly what `masked_rows_bounded` returns, `Exact` and
+    /// `Pruned` alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the evaluator is not eligible or the shapes mismatch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn masked_words_bounded(
+        &self,
+        words: &[u32],
+        bits: &[u64],
+        outs: &[u32],
+        rows: &[u64],
+        base_suffix: &[f64],
+        current: f64,
+        mut prune: impl FnMut(f64) -> bool,
+    ) -> BoundedScore {
+        assert!(
+            self.word_kernel,
+            "integer word scoring needs an eligible evaluator"
+        );
+        assert_eq!(rows.len(), outs.len() * self.stride, "mask row shape");
+        assert_eq!(bits.len(), words.len(), "one deviation word per index");
+        assert_eq!(base_suffix.len(), words.len() + 1, "one suffix per word");
+        let m = words.len();
+        let planes_per_word = 3 * self.n_outputs;
+        let mut sum = self.cur_sum;
+        for (j, (&w, &d)) in words.iter().zip(bits).enumerate() {
+            let lb_delta = self.lower_bound(sum, base_suffix[j], m - j, current);
+            if prune(lb_delta) {
+                return BoundedScore::Pruned { lb_delta };
+            }
+            let w = w as usize;
+            let mut union = 0u64;
+            for k in 0..outs.len() {
+                union |= rows[k * self.stride + w];
+            }
+            let f = d & union & self.word_mask(w);
+            if f != 0 {
+                let planes = &self.planes[w * planes_per_word..][..planes_per_word];
+                sum += word_delta(planes, outs, rows, self.stride, w, f) as f64;
+            }
+        }
+        self.bounded_result(sum, current, prune)
     }
 
     /// The flip unions of up to [`STRIP`] deviating words: per strip
@@ -864,13 +952,153 @@ impl ErrorEval {
 
     #[inline]
     fn word_mask(&self, w: usize) -> u64 {
-        let rem = self.n_patterns - w * 64;
-        if rem >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << rem) - 1
-        }
+        word_mask(self.n_patterns, w)
     }
+}
+
+/// The valid-pattern mask of word `w` in an `n_patterns` sample.
+#[inline(always)]
+fn word_mask(n_patterns: usize, w: usize) -> u64 {
+    let rem = n_patterns - w * 64;
+    if rem >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << rem) - 1
+    }
+}
+
+/// Replaces the bit planes `x` (plane `o` holds bit `o` of 64 values)
+/// with the planes of `|x - g|`: a borrow chain from the least
+/// significant plane up gives `x - g` modulo `2^n`, and the final
+/// borrow marks the values where `x < g`, which are negated in two's
+/// complement (invert, then add one along a carry chain).
+#[inline(always)]
+fn abs_diff_planes(x: &mut [u64], g: &[u64]) {
+    let mut borrow = 0u64;
+    for (xo, &go) in x.iter_mut().zip(g) {
+        let a = *xo;
+        *xo = a ^ go ^ borrow;
+        borrow = (!a & go) | (!(a ^ go) & borrow);
+    }
+    let mut carry = borrow;
+    for xo in x.iter_mut() {
+        let y = *xo ^ borrow;
+        *xo = y ^ carry;
+        carry &= y;
+    }
+}
+
+dispatched! {
+    /// The exact change of the summed error distance over the patterns
+    /// of `f` in one word, when output `outs[k]` flips on
+    /// `rows[k * stride + w] & f`. `planes` holds the word's golden,
+    /// current and `|current - golden|` planes (see `ErrorEval::planes`).
+    fn word_delta = word_delta_scalar(
+        planes: &[u64],
+        outs: &[u32],
+        rows: &[u64],
+        stride: usize,
+        w: usize,
+        f: u64,
+    ) -> i64;
+}
+
+/// Scalar body of [`word_delta`]. With at most 53 outputs every term
+/// `2^o * popcnt` stays below `2^59`, and so does their sum.
+#[inline(always)]
+fn word_delta_scalar(
+    planes: &[u64],
+    outs: &[u32],
+    rows: &[u64],
+    stride: usize,
+    w: usize,
+    f: u64,
+) -> i64 {
+    let n = planes.len() / 3;
+    let (gold, rest) = planes.split_at(n);
+    let (cur, abs) = rest.split_at(n);
+    let mut new = [0u64; WORD_KERNEL_MAX_OUTPUTS];
+    let new = &mut new[..n];
+    new.copy_from_slice(cur);
+    for (k, &o) in outs.iter().enumerate() {
+        new[o as usize] ^= rows[k * stride + w] & f;
+    }
+    abs_diff_planes(new, gold);
+    let mut delta = 0i64;
+    for (o, (&a_new, &a_cur)) in new.iter().zip(abs).enumerate() {
+        delta += ((a_new & f).count_ones() as i64 - (a_cur & f).count_ones() as i64) << o;
+    }
+    delta
+}
+
+/// One ER word under deviation `d`: the union diff is selected between
+/// the current one (`er_words`) and the all-deviating one (`e1`), and
+/// its valid popcount replaces the baseline popcount.
+#[inline(always)]
+fn er_word_delta(er_words: &[u64], pops: &[u32], e1: &[u64], w: usize, d: u64, n: usize) -> i64 {
+    let acc = (er_words[w] & !d) | (e1[w] & d);
+    (acc & word_mask(n, w)).count_ones() as i64 - pops[w] as i64
+}
+
+dispatched! {
+    /// The ER error-count change of a dense deviation mask `dev` over
+    /// its deviating `words` (see `ErrorEval::er_with_deviation`).
+    fn er_dense_delta = er_dense_delta_scalar(
+        er_words: &[u64],
+        pops: &[u32],
+        e1: &[u64],
+        words: &[u32],
+        dev: &[u64],
+        n_patterns: usize,
+    ) -> i64;
+}
+
+/// Scalar body of [`er_dense_delta`].
+#[inline(always)]
+fn er_dense_delta_scalar(
+    er_words: &[u64],
+    pops: &[u32],
+    e1: &[u64],
+    words: &[u32],
+    dev: &[u64],
+    n_patterns: usize,
+) -> i64 {
+    let mut delta = 0i64;
+    for &w in words {
+        let w = w as usize;
+        delta += er_word_delta(er_words, pops, e1, w, dev[w], n_patterns);
+    }
+    delta
+}
+
+dispatched! {
+    /// [`er_dense_delta`] with the deviation words given sparsely:
+    /// `bits[j]` is the deviation word at `words[j]`.
+    fn er_sparse_delta = er_sparse_delta_scalar(
+        er_words: &[u64],
+        pops: &[u32],
+        e1: &[u64],
+        words: &[u32],
+        bits: &[u64],
+        n_patterns: usize,
+    ) -> i64;
+}
+
+/// Scalar body of [`er_sparse_delta`].
+#[inline(always)]
+fn er_sparse_delta_scalar(
+    er_words: &[u64],
+    pops: &[u32],
+    e1: &[u64],
+    words: &[u32],
+    bits: &[u64],
+    n_patterns: usize,
+) -> i64 {
+    let mut delta = 0i64;
+    for (&w, &d) in words.iter().zip(bits) {
+        delta += er_word_delta(er_words, pops, e1, w as usize, d, n_patterns);
+    }
+    delta
 }
 
 /// Mean-style metrics: nonnegative per-pattern contributions folded in
@@ -977,33 +1205,47 @@ fn pattern_contrib(kind: MetricKind, approx: u128, golden: u128) -> f64 {
 
 /// `x as f64`, through the hardware `u64` conversion whenever the high
 /// half is zero. Both casts round to nearest-even, so the result is
-/// the same f64; only the software `u128` routine is skipped.
+/// the same f64; only the software `u128` routine is skipped. The wide
+/// cast sits in its own cold function: inline, the optimizer hoists the
+/// `u128` conversion above the test and pays for the software routine
+/// on every call.
 #[inline]
 fn to_f64(x: u128) -> f64 {
     if x >> 64 == 0 {
         x as u64 as f64
     } else {
-        x as f64
+        wide_to_f64(x)
     }
 }
 
-/// Decodes per-pattern output values (output 0 = LSB). Each pattern's
-/// value is written into its own slot, so the parallel chunking cannot
-/// change the result.
-fn decode_values(sigs: &[Vec<u64>], n_patterns: usize) -> Vec<u128> {
-    let mut vals = vec![0u128; n_patterns];
-    parkit::global().par_chunks_mut(&mut vals, PAT_CHUNK, |c, slice| {
-        let base = c * PAT_CHUNK;
-        for (o, sig) in sigs.iter().enumerate() {
-            for (i, val) in slice.iter_mut().enumerate() {
-                let p = base + i;
-                if sig[p / 64] >> (p % 64) & 1 == 1 {
-                    *val |= 1 << o;
+/// The `u128` arm of [`to_f64`].
+#[cold]
+#[inline(never)]
+fn wide_to_f64(x: u128) -> f64 {
+    x as f64
+}
+
+/// Decodes per-pattern output values (output 0 = LSB) into `vals`,
+/// word by word: each signature word's set bits are walked into the
+/// word's 64 value slots. Each pattern's value is written into its own
+/// slot, so the parallel chunking cannot change the result.
+fn decode_values(sigs: &[Vec<u64>], n_patterns: usize, vals: &mut Vec<u128>) {
+    vals.clear();
+    vals.resize(n_patterns, 0);
+    parkit::global().par_chunks_mut(vals, PAT_CHUNK, |c, slice| {
+        let first_word = c * (PAT_CHUNK / 64);
+        for (i, lanes) in slice.chunks_mut(64).enumerate() {
+            let w = first_word + i;
+            let valid = word_mask(n_patterns, w);
+            for (o, sig) in sigs.iter().enumerate() {
+                let mut bits = sig[w] & valid;
+                while bits != 0 {
+                    lanes[bits.trailing_zeros() as usize] |= 1u128 << o;
+                    bits &= bits - 1;
                 }
             }
         }
     });
-    vals
 }
 
 #[cfg(test)]
@@ -1351,32 +1593,213 @@ mod tests {
                 }
             }
 
-            // ER: the integer remaining-popcount bound, against the
-            // deviation-select scorer it accelerates.
+            // ER: the deviation-select scorers, dense and sparse,
+            // against the fused-row fold and their scalar instances.
             let mut e = ErrorEval::new(MetricKind::Er, &c.golden, c.n_patterns);
             e.rebase(&c.approx);
-            let current = e.current();
             let mut e1 = Vec::new();
             e.er_conditional_union(&c.outs, &c.rows, &mut e1);
             let exact = e.er_with_deviation(&c.words, &c.dev, &e1);
-            let delta = exact - current;
+            assert_eq!(
+                exact.to_bits(),
+                e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows)
+                    .to_bits(),
+                "er seed {seed}"
+            );
             let bits: Vec<u64> = c.words.iter().map(|&w| c.dev[w as usize]).collect();
-            // The sparse-input variant is bit-identical to the dense one.
             assert_eq!(
                 e.er_with_deviation_sparse(&c.words, &bits, &e1).to_bits(),
                 exact.to_bits(),
                 "er sparse seed {seed}"
             );
-            let mut lbs: Vec<f64> = Vec::new();
-            let got = e.er_deviation_bounded(&c.words, &bits, &e1, current, |lb| {
-                lbs.push(lb);
-                false
-            });
-            assert_eq!(got, BoundedScore::Exact(exact), "er seed {seed}");
-            for &lb in &lbs {
-                assert!(lb <= delta, "er seed {seed}: bound {lb} > ΔE {delta}");
+            let (ew, ep) = (&e.er_words, &e.er_word_pops);
+            assert_eq!(
+                er_dense_delta(ew, ep, &e1, &c.words, &c.dev, c.n_patterns),
+                er_dense_delta_scalar(ew, ep, &e1, &c.words, &c.dev, c.n_patterns),
+                "er dense dispatch seed {seed}"
+            );
+            assert_eq!(
+                er_sparse_delta(ew, ep, &e1, &c.words, &bits, c.n_patterns),
+                er_sparse_delta_scalar(ew, ep, &e1, &c.words, &bits, c.n_patterns),
+                "er sparse dispatch seed {seed}"
+            );
+        }
+    }
+
+    /// Runs `masked_rows_bounded` and `masked_words_bounded` with the
+    /// same pruning threshold, returning both results and the lower
+    /// bounds each one handed to its `prune` callback.
+    #[allow(clippy::type_complexity)]
+    fn both_bounded(
+        e: &ErrorEval,
+        c: &MaskedCase,
+        thr: f64,
+    ) -> ((BoundedScore, Vec<u64>), (BoundedScore, Vec<u64>)) {
+        let current = e.current();
+        let mut suffix = Vec::new();
+        e.word_base_suffix(&c.words, &mut suffix);
+        let bits: Vec<u64> = c.words.iter().map(|&w| c.dev[w as usize]).collect();
+        let mut per_pattern = Vec::new();
+        let a = e.masked_rows_bounded(&c.words, &c.dev, &c.outs, &c.rows, &suffix, current, |lb| {
+            per_pattern.push(lb.to_bits());
+            lb > thr
+        });
+        let mut per_word = Vec::new();
+        let b = e.masked_words_bounded(&c.words, &bits, &c.outs, &c.rows, &suffix, current, |lb| {
+            per_word.push(lb.to_bits());
+            lb > thr
+        });
+        ((a, per_pattern), (b, per_word))
+    }
+
+    fn score_bits(s: BoundedScore) -> (bool, u64) {
+        match s {
+            BoundedScore::Exact(e) => (true, e.to_bits()),
+            BoundedScore::Pruned { lb_delta } => (false, lb_delta.to_bits()),
+        }
+    }
+
+    #[test]
+    fn word_kernel_is_bit_identical_to_the_per_pattern_fold() {
+        // MED and NMED on the integer word kernel against the
+        // per-pattern bounded fold and the fused-row oracle: the same
+        // `BoundedScore` bits and the same lower bounds at every
+        // checkpoint, never pruning and under random thresholds, from
+        // one output to the 40-output limit of an 8,192-pattern sample,
+        // with full, single and partial tail words.
+        let mut next = lcg(0x770d);
+        let (mut exact, mut pruned) = (0usize, 0usize);
+        for n_outputs in [1usize, 5, 16, 33, 39, 40] {
+            for n_patterns in [64usize, 65, 130, 8192] {
+                let seed = (n_outputs * 100_003 + n_patterns) as u64;
+                let c = masked_case(seed, n_patterns, n_outputs);
+                for kind in [MetricKind::Med, MetricKind::Nmed] {
+                    let mut e = ErrorEval::new(kind, &c.golden, c.n_patterns);
+                    e.rebase(&c.approx);
+                    let at = format!("{kind} outputs {n_outputs} patterns {n_patterns}");
+                    assert!(e.word_kernel_eligible(), "{at}");
+                    let oracle = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
+                    let ((a, la), (b, lb)) = both_bounded(&e, &c, f64::INFINITY);
+                    assert_eq!(score_bits(a), (true, oracle.to_bits()), "{at}");
+                    assert_eq!(score_bits(b), score_bits(a), "{at}");
+                    assert_eq!(lb, la, "{at}: bounds differ");
+                    let delta = oracle - e.current();
+                    for _ in 0..8 {
+                        let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                        let thr = delta + delta.abs() * (4.0 * u - 2.0);
+                        let ((a, la), (b, lb)) = both_bounded(&e, &c, thr);
+                        assert_eq!(score_bits(b), score_bits(a), "{at} thr {thr}");
+                        assert_eq!(lb, la, "{at} thr {thr}: bounds differ");
+                        match a {
+                            BoundedScore::Exact(_) => exact += 1,
+                            BoundedScore::Pruned { .. } => pruned += 1,
+                        }
+                    }
+                }
             }
-            assert_eq!(lbs.last().unwrap().to_bits(), delta.to_bits());
+        }
+        assert!(exact > 0 && pruned > 0, "exact {exact}, pruned {pruned}");
+    }
+
+    #[test]
+    fn word_kernel_eligibility_stops_at_2_pow_53() {
+        let eligible = |kind: MetricKind, n_outputs: usize, n_patterns: usize| {
+            let golden = vec![vec![0u64; n_patterns.div_ceil(64)]; n_outputs];
+            ErrorEval::new(kind, &golden, n_patterns).word_kernel_eligible()
+        };
+        // n_patterns * (2^n_outputs - 1) just below and just above 2^53.
+        assert!(eligible(MetricKind::Nmed, 40, 8192)); // 2^53 - 2^13
+        assert!(!eligible(MetricKind::Nmed, 40, 8193)); // 2^53 + 2^40 - 8193
+        assert!(eligible(MetricKind::Med, 52, 2)); // 2^53 - 2
+        assert!(!eligible(MetricKind::Med, 52, 3));
+        assert!(eligible(MetricKind::Med, 53, 1)); // 2^53 - 1
+        assert!(!eligible(MetricKind::Med, 54, 1));
+        assert!(!eligible(MetricKind::Nmed, 128, 64));
+        for kind in [
+            MetricKind::Er,
+            MetricKind::Mred,
+            MetricKind::Mse,
+            MetricKind::Wce,
+        ] {
+            assert!(!eligible(kind, 5, 64), "{kind}");
+        }
+        // At the edge every value is near 2^53 and still exact.
+        for (seed, n_outputs, n_patterns) in [(31u64, 53, 1), (32, 52, 2), (33, 40, 8192)] {
+            let c = masked_case(seed, n_patterns, n_outputs);
+            let mut e = ErrorEval::new(MetricKind::Med, &c.golden, c.n_patterns);
+            e.rebase(&c.approx);
+            let oracle = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
+            let ((a, _), (b, _)) = both_bounded(&e, &c, f64::INFINITY);
+            assert_eq!(
+                score_bits(a),
+                (true, oracle.to_bits()),
+                "outputs {n_outputs}"
+            );
+            assert_eq!(score_bits(b), score_bits(a), "outputs {n_outputs}");
+        }
+    }
+
+    #[test]
+    fn dispatched_word_delta_matches_scalar_and_pattern_sum() {
+        for (seed, n_outputs, n_patterns) in [
+            (41u64, 1usize, 8192),
+            (42, 16, 8192),
+            (43, 33, 130),
+            (44, 40, 8192),
+            (45, 53, 1),
+        ] {
+            let c = masked_case(seed, n_patterns, n_outputs);
+            let mut e = ErrorEval::new(MetricKind::Med, &c.golden, c.n_patterns);
+            e.rebase(&c.approx);
+            let n3 = 3 * n_outputs;
+            for &w in &c.words {
+                let w = w as usize;
+                let f = e.flip_union(&c.flips, w);
+                let planes = &e.planes[w * n3..][..n3];
+                let got = word_delta(planes, &c.outs, &c.rows, e.stride, w, f);
+                let scalar = word_delta_scalar(planes, &c.outs, &c.rows, e.stride, w, f);
+                assert_eq!(got, scalar, "outputs {n_outputs} word {w}");
+                let mut expect = 0i128;
+                for b in (0..64).filter(|b| f >> b & 1 == 1) {
+                    let p = w * 64 + b;
+                    let new = e.cur_vals[p] ^ toggle_bits(&c.flips, p);
+                    let old = e.cur_vals[p].abs_diff(e.golden_vals[p]);
+                    expect += new.abs_diff(e.golden_vals[p]) as i128 - old as i128;
+                }
+                assert_eq!(got as i128, expect, "outputs {n_outputs} word {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_decode_matches_the_per_pattern_loop() {
+        // The old decoder: test every (output, pattern) pair.
+        fn per_pattern(sigs: &[Vec<u64>], n_patterns: usize) -> Vec<u128> {
+            let mut vals = vec![0u128; n_patterns];
+            for (o, sig) in sigs.iter().enumerate() {
+                for (p, val) in vals.iter_mut().enumerate() {
+                    if sig[p / 64] >> (p % 64) & 1 == 1 {
+                        *val |= 1 << o;
+                    }
+                }
+            }
+            vals
+        }
+        let mut next = lcg(0xdec0de);
+        let mut vals = vec![7u128; 3]; // stale contents are overwritten
+        for n_outputs in [1usize, 5, 33, 64, 65, 128] {
+            for n_patterns in [1usize, 64, 130, 4096 + 77] {
+                // Garbage past the last valid pattern must not leak in.
+                let sigs: Vec<Vec<u64>> = (0..n_outputs)
+                    .map(|_| (0..n_patterns.div_ceil(64)).map(|_| next()).collect())
+                    .collect();
+                decode_values(&sigs, n_patterns, &mut vals);
+                assert_eq!(
+                    vals,
+                    per_pattern(&sigs, n_patterns),
+                    "outputs {n_outputs} patterns {n_patterns}"
+                );
+            }
         }
     }
 

@@ -579,14 +579,12 @@ impl<'a> BatchEstimator<'a> {
         // correctness never depends on this order.
         let mut order = order;
         order.sort_by_cached_key(|&ci| {
-            devs[ci as usize]
-                .bits
-                .iter()
-                .map(|b| b.count_ones() as u64)
-                .sum::<u64>()
+            let bits = devs[ci as usize].bits;
+            bitsim::popcount(bits, bits.len() * 64)
         });
 
         let thr = TopkThreshold::new(k, self.unsound_bound);
+        let word_kernel = eval.word_kernel_eligible();
         let chunk = order.len().div_ceil(pool.threads() * 8).max(1);
         let exact: Vec<Vec<(u32, f64)>> = pool.par_chunk_results(order.len(), chunk, |_, range| {
             let mut buf = dev_pool.checkout();
@@ -613,6 +611,21 @@ impl<'a> BatchEstimator<'a> {
                             buf.scratch[w as usize] = 0;
                         }
                         BoundedScore::Exact(e_new)
+                    }
+                    _ if word_kernel => {
+                        // Integer per-word deltas, read straight from
+                        // the sparse deviation words.
+                        let entry = store.get(lac.tn).expect("mask entry was just built");
+                        eval.word_base_suffix(words, &mut buf.suffix);
+                        eval.masked_words_bounded(
+                            words,
+                            d.bits,
+                            &entry.outs,
+                            &entry.masks,
+                            &buf.suffix,
+                            current,
+                            |lb| lb > thr.get(),
+                        )
                     }
                     _ => {
                         for (j, &w) in words.iter().enumerate() {
@@ -921,39 +934,50 @@ mod tests {
 
     #[test]
     fn topk_matches_dense_topset() {
-        let g = benchgen::adders::rca(6);
-        let pats = Patterns::random(12, 320, 11);
-        let sim = simulate(&g, &pats);
-        let golden = sim.output_sigs(&g);
-        let cands = generate_candidates(&g, &sim, &CandidateConfig::default());
-        let mut scratch = vec![0u64; sim.stride()];
-        let devs: Vec<DevMask> = cands
-            .iter()
-            .map(|l| DevMask::of(&sim, l, &mut scratch))
-            .collect();
-        let dev_views: Vec<DevView> = devs.iter().map(|d| d.view()).collect();
+        // rca6 has 7 outputs and rca32 has 33: MED and NMED score on the
+        // integer word kernel at both widths, MRED on the per-pattern
+        // fold, ER and WCE exactly.
         let pools: Vec<&'static ThreadPool> = [1, 2, 8]
             .iter()
             .map(|&t| &*Box::leak(Box::new(ThreadPool::new(t))))
             .collect();
-        for kind in [
-            MetricKind::Er,
-            MetricKind::Nmed,
-            MetricKind::Mred,
-            MetricKind::Wce,
-        ] {
-            let mut eval = ErrorEval::new(kind, &golden, pats.n_patterns());
-            eval.rebase(&golden);
-            let dense = dense_sorted(BatchEstimator::new(&g, &sim, &eval).score_all(&cands));
-            assert!(!dense.is_empty());
-            for &k in &[1usize, 3, 8, 64, dense.len() + 100] {
-                for &pool in &pools {
-                    let (topk, st) = BatchEstimator::new(&g, &sim, &eval)
-                        .use_pool(pool)
-                        .score_topk(&cands, &dev_views, k);
-                    assert_eq!(st.n_candidates, dense.len(), "{kind}: population differs");
-                    assert_eq!(st.n_exact + st.n_pruned, st.n_candidates);
-                    assert_topk_prefix(&dense, &topk, k);
+        for (g, n_pis) in [(benchgen::adders::rca(6), 12), (benchgen::adders::rca(32), 64)] {
+            let pats = Patterns::random(n_pis, 320, 11);
+            let sim = simulate(&g, &pats);
+            let golden = sim.output_sigs(&g);
+            let cands = generate_candidates(&g, &sim, &CandidateConfig::default());
+            let mut scratch = vec![0u64; sim.stride()];
+            let devs: Vec<DevMask> = cands
+                .iter()
+                .map(|l| DevMask::of(&sim, l, &mut scratch))
+                .collect();
+            let dev_views: Vec<DevView> = devs.iter().map(|d| d.view()).collect();
+            for kind in [
+                MetricKind::Er,
+                MetricKind::Med,
+                MetricKind::Nmed,
+                MetricKind::Mred,
+                MetricKind::Wce,
+            ] {
+                let mut eval = ErrorEval::new(kind, &golden, pats.n_patterns());
+                eval.rebase(&golden);
+                let at = format!("{kind} at {} outputs", golden.len());
+                assert_eq!(
+                    eval.word_kernel_eligible(),
+                    matches!(kind, MetricKind::Med | MetricKind::Nmed),
+                    "{at}"
+                );
+                let dense = dense_sorted(BatchEstimator::new(&g, &sim, &eval).score_all(&cands));
+                assert!(!dense.is_empty());
+                for &k in &[1usize, 3, 8, 64, dense.len() + 100] {
+                    for &pool in &pools {
+                        let (topk, st) = BatchEstimator::new(&g, &sim, &eval)
+                            .use_pool(pool)
+                            .score_topk(&cands, &dev_views, k);
+                        assert_eq!(st.n_candidates, dense.len(), "{at}: population differs");
+                        assert_eq!(st.n_exact + st.n_pruned, st.n_candidates);
+                        assert_topk_prefix(&dense, &topk, k);
+                    }
                 }
             }
         }

@@ -10,7 +10,9 @@
 //! stream; on the first oracle violation the case is shrunk and the
 //! one-line repro printed, and the process exits nonzero. With
 //! `--repro`, replays exactly one case from its repro line. `--smoke`
-//! is the fixed CI configuration (pinned seed, small iteration count).
+//! is the fixed CI configuration (pinned seed, small iteration count);
+//! it also fails unless its top-k checks reached both bounded scoring
+//! kernels, the integer word kernel and the per-pattern fold.
 
 use std::process::ExitCode;
 
@@ -25,6 +27,7 @@ struct Args {
     fault: Fault,
     repro: Option<String>,
     quiet: bool,
+    smoke: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -34,6 +37,7 @@ fn parse_args() -> Result<Args, String> {
         fault: Fault::None,
         repro: None,
         quiet: false,
+        smoke: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -67,6 +71,7 @@ fn parse_args() -> Result<Args, String> {
             "--smoke" => {
                 args.seed = SMOKE_SEED;
                 args.iters = SMOKE_ITERS;
+                args.smoke = true;
             }
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
@@ -113,10 +118,15 @@ fn main() -> ExitCode {
     }
 
     let mut ran = 0u64;
+    let (mut word_kernel, mut pattern_kernel) = (0usize, 0usize);
     let failure = fuzzkit::soak(args.seed, args.iters, args.fault, |i, outcome| {
         ran = i + 1;
-        if !args.quiet && outcome.is_none() && (i + 1) % 50 == 0 {
-            println!("  ... {} cases clean", i + 1);
+        if let Ok(stats) = outcome {
+            word_kernel += stats.topk_word_kernel;
+            pattern_kernel += stats.topk_pattern_kernel;
+            if !args.quiet && (i + 1) % 50 == 0 {
+                println!("  ... {} cases clean", i + 1);
+            }
         }
     });
     match failure {
@@ -125,6 +135,14 @@ fn main() -> ExitCode {
                 "fuzzkit: {ran} cases clean (seed {:#x}, fault {:?})",
                 args.seed, args.fault
             );
+            println!(
+                "fuzzkit: top-k checks by bounded kernel: {word_kernel} integer word, \
+                 {pattern_kernel} per-pattern"
+            );
+            if args.smoke && (word_kernel == 0 || pattern_kernel == 0) {
+                println!("fuzzkit: the smoke run must reach both top-k scoring kernels");
+                return ExitCode::FAILURE;
+            }
             ExitCode::SUCCESS
         }
         Some(f) => {

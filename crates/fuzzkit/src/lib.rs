@@ -243,19 +243,19 @@ pub fn case_from_stream(base_seed: u64, i: u64, fault: Fault) -> FuzzCase {
 
 /// Runs `iters` cases of the soak stream and returns the first failure,
 /// if any. `report` is called once per case with the case index and its
-/// outcome (`None` = passed).
+/// outcome: what a passing case exercised, or the failure.
 pub fn soak(
     base_seed: u64,
     iters: u64,
     fault: Fault,
-    mut report: impl FnMut(u64, Option<&Failure>),
+    mut report: impl FnMut(u64, Result<&CaseStats, &Failure>),
 ) -> Option<Failure> {
     for i in 0..iters {
         let case = case_from_stream(base_seed, i, fault);
         match run_case(&case) {
-            Ok(_) => report(i, None),
+            Ok(stats) => report(i, Ok(&stats)),
             Err(f) => {
-                report(i, Some(&f));
+                report(i, Err(&f));
                 return Some(f);
             }
         }

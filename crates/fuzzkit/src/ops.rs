@@ -98,6 +98,12 @@ pub struct CaseStats {
     pub windows: usize,
     /// Flow configurations compared between production and reference.
     pub flows: usize,
+    /// Top-k scoring checks whose bounded replay ran on the integer
+    /// word kernel (MED/NMED within the `2^53` limit).
+    pub topk_word_kernel: usize,
+    /// Top-k scoring checks whose bounded replay ran on the per-pattern
+    /// fold (MRED, MSE, and MED/NMED beyond the limit).
+    pub topk_pattern_kernel: usize,
 }
 
 /// The thread counts every scoring comparison runs at.
@@ -347,6 +353,12 @@ impl<'c> Driver<'c> {
             est.inject_unsound_bound(fault);
             let (topk, st) = est.score_topk(&fresh, &devs, k);
             check("stored masks at 2 threads".to_string(), topk, st)?;
+            let checks = THREADS.len() + 1;
+            if eval.word_kernel_eligible() {
+                self.stats.topk_word_kernel += checks;
+            } else if !matches!(self.kind, MetricKind::Er | MetricKind::Wce) {
+                self.stats.topk_pattern_kernel += checks;
+            }
         }
 
         // Trial evaluation vs the committed path, then maybe commit.

@@ -18,51 +18,20 @@
 //! # Dispatch
 //!
 //! Each kernel body is written once as an `#[inline(always)]` scalar
-//! function and instantiated twice by `dispatched!`: as is, and inside
-//! a `#[target_feature(enable = "popcnt")]` function on `x86_64`. The
-//! public entry point picks the POPCNT instance when std's cached
-//! `is_x86_feature_detected!("popcnt")` reports the instruction, and the
-//! scalar instance otherwise. A build without `target-cpu` settings
-//! compiles `count_ones` to a software bit-count sequence; the runtime
-//! choice gets the hardware instruction without baking a CPU
-//! requirement into the binary. Both instances compute the same
-//! integers, and the scalar one is the test reference.
+//! function and instantiated by [`bitsim::dispatched!`] twice: as is,
+//! and as a POPCNT instance picked at runtime when the CPU has the
+//! instruction. Both instances compute the same integers, and the
+//! scalar one is the test reference.
+
+use bitsim::dispatched;
 
 /// Words per unrolled strip. Eight 64-bit words = one 512-bit row.
 pub(crate) const STRIP: usize = 8;
 
-/// Defines `$name` as the runtime-dispatched instance of the
-/// `#[inline(always)]` kernel body `$body` (see the module docs).
-macro_rules! dispatched {
-    (
-        $(#[$attr:meta])*
-        fn $name:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
-    ) => {
-        $(#[$attr])*
-        #[allow(unsafe_code)]
-        pub(crate) fn $name($($arg: $ty),*) -> $ret {
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "popcnt")]
-                fn popcnt_instance($($arg: $ty),*) -> $ret {
-                    $body($($arg),*)
-                }
-                if std::arch::is_x86_feature_detected!("popcnt") {
-                    // SAFETY: `popcnt_instance` requires only the
-                    // `popcnt` feature, which the running CPU was just
-                    // detected to support.
-                    return unsafe { popcnt_instance($($arg),*) };
-                }
-            }
-            $body($($arg),*)
-        }
-    };
-}
-
 dispatched! {
     /// Number of patterns where signatures `a` and `b` differ — a fused
     /// XOR + popcount with no temporary buffer.
-    fn xor_distance = xor_distance_scalar(a: &[u64], b: &[u64], n_patterns: usize) -> usize;
+    pub(crate) fn xor_distance = xor_distance_scalar(a: &[u64], b: &[u64], n_patterns: usize) -> usize;
 }
 
 /// Scalar body of [`xor_distance`]. A strip of 8 words holds at most
@@ -97,7 +66,7 @@ dispatched! {
     /// known (see [`tt2_from_pops`]). With `a == b` it gives a single
     /// divisor's `(pop(a), pop(t & a))`, and with `t == a == b` the
     /// target's own `pop(t)` twice.
-    fn and_counts = and_counts_scalar(t: &[u64], a: &[u64], b: &[u64], n_patterns: usize)
+    pub(crate) fn and_counts = and_counts_scalar(t: &[u64], a: &[u64], b: &[u64], n_patterns: usize)
         -> (usize, usize);
 }
 
@@ -183,7 +152,7 @@ dispatched! {
     /// Per-region `(ones, totals)` over the eight input regions of a
     /// divisor triple: region `m` is the patterns where `(s1, s2, s3)`
     /// equal the bits of `m`.
-    fn tt3_counts = tt3_counts_scalar(
+    pub(crate) fn tt3_counts = tt3_counts_scalar(
         st: &[u64],
         s1: &[u64],
         s2: &[u64],
