@@ -1,8 +1,7 @@
 //! Experiment harness for the AccALS reproduction.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4); `benches/` holds Criterion micro-benchmarks
-//! of the substrates. This library crate carries shared reporting
+//! paper (see DESIGN.md §4). This library crate carries shared reporting
 //! helpers.
 
 pub mod exp;

@@ -6,7 +6,7 @@
 //! tables stay tractable. These builders produce the full-size class —
 //! 64/128-bit adders, multipliers, dividers, and square roots in the
 //! 20k–100k AND range — as inputs for windowed synthesis and the
-//! `bench_window` throughput experiments, where a dense round over the
+//! `perfbench` `window-epfl` workload, where a dense round over the
 //! whole graph is exactly what is being avoided.
 //!
 //! Multi-bit ports are LSB-first, as everywhere in this crate; use

@@ -1,0 +1,283 @@
+//! The warm estimator against the seed's dense estimator, timed.
+//!
+//! On mtp8, round 1 (2,048 patterns, seed `0xE57`), the production
+//! estimator on a 4-thread pool, with its `MaskCache` warmed by round 0
+//! and rolled through the commit's remap, must score every candidate at
+//! least [`MIN_SPEEDUP`] times faster than the seed-style dense
+//! estimator, median of [`REPEATS`] runs each. Every production score
+//! (round 0 serial, round 1 fresh, round 1 warm) must first agree bit
+//! for bit with the seed-style scores, so the gate compares two ways of
+//! computing the same numbers. This binary holds a single test, so no
+//! other test of it competes for the cores while it times.
+
+use aig::{cone, Aig, Fanouts, Node, NodeId};
+use bitsim::{simulate, Patterns};
+use errmetrics::{ErrorEval, MetricKind};
+use estimate::{BatchEstimator, MaskCache};
+use lac::{generate_candidates, CandidateConfig, Lac, ScoredLac};
+use parkit::ThreadPool;
+use std::collections::HashMap;
+use std::time::Instant;
+
+const N_PATTERNS: usize = 2048;
+const SEED: u64 = 0xE57;
+const REPEATS: usize = 7;
+const PAR_THREADS: usize = 4;
+const MIN_SPEEDUP: f64 = 2.0;
+
+/// The cone resimulation as shipped in the seed: the *entire* structural
+/// fanout cone is re-evaluated with a per-word touched check, whether or
+/// not the value change actually reaches a node. Kept verbatim here so
+/// the baseline stays pinned to the seed algorithm — the library's
+/// [`bitsim::ConeSimulator`] has since learned to stop where the change
+/// masks die out, and letting the baseline inherit that would understate
+/// the speedup.
+struct SeedConeSim {
+    topo_pos: Vec<u32>,
+    fanouts: Fanouts,
+    scratch: Vec<u64>,
+    touched: Vec<bool>,
+    touched_list: Vec<NodeId>,
+}
+
+impl SeedConeSim {
+    fn new(aig: &Aig, stride: usize) -> Self {
+        let order = aig.topo_order().expect("acyclic");
+        let mut topo_pos = vec![0u32; aig.n_nodes()];
+        for (i, id) in order.iter().enumerate() {
+            topo_pos[id.index()] = i as u32;
+        }
+        SeedConeSim {
+            topo_pos,
+            fanouts: Fanouts::build(aig),
+            scratch: vec![0u64; aig.n_nodes() * stride],
+            touched: vec![false; aig.n_nodes()],
+            touched_list: Vec::new(),
+        }
+    }
+
+    fn output_flips(
+        &mut self,
+        aig: &Aig,
+        sim: &bitsim::Sim,
+        n: NodeId,
+        forced: &[u64],
+    ) -> Vec<Vec<u64>> {
+        let stride = sim.stride();
+        let mut cone: Vec<NodeId> = Vec::new();
+        self.touched[n.index()] = true;
+        self.touched_list.push(n);
+        self.scratch[n.index() * stride..(n.index() + 1) * stride].copy_from_slice(forced);
+        cone.push(n);
+        let mut head = 0;
+        while head < cone.len() {
+            let m = cone[head];
+            head += 1;
+            for &f in self.fanouts.of(m) {
+                if !self.touched[f.index()] {
+                    self.touched[f.index()] = true;
+                    self.touched_list.push(f);
+                    cone.push(f);
+                }
+            }
+        }
+        let topo_pos = &self.topo_pos;
+        cone[1..].sort_unstable_by_key(|m| topo_pos[m.index()]);
+        for &m in &cone[1..] {
+            if let Node::And(a, b) = aig.node(m) {
+                let (an, bn) = (a.node(), b.node());
+                for w in 0..stride {
+                    let wa = self.value_word(sim, an, w) ^ if a.is_neg() { u64::MAX } else { 0 };
+                    let wb = self.value_word(sim, bn, w) ^ if b.is_neg() { u64::MAX } else { 0 };
+                    self.scratch[m.index() * stride + w] = wa & wb;
+                }
+            }
+        }
+        let mut flips = Vec::with_capacity(aig.n_pos());
+        for out in aig.outputs() {
+            let d = out.lit.node();
+            if self.touched[d.index()] {
+                let base = sim.sig(d);
+                let new = &self.scratch[d.index() * stride..(d.index() + 1) * stride];
+                flips.push(base.iter().zip(new).map(|(b, s)| b ^ s).collect());
+            } else {
+                flips.push(vec![0u64; stride]);
+            }
+        }
+        for m in self.touched_list.drain(..) {
+            self.touched[m.index()] = false;
+        }
+        flips
+    }
+
+    #[inline]
+    fn value_word(&self, sim: &bitsim::Sim, n: NodeId, w: usize) -> u64 {
+        if self.touched[n.index()] {
+            self.scratch[n.index() * sim.stride() + w]
+        } else {
+            sim.sig(n)[w]
+        }
+    }
+}
+
+/// The estimator loop as shipped in the seed: group candidates by target
+/// node, resimulate each target's cone once, then AND every candidate's
+/// full-stride deviation mask into per-output flip rows and run the
+/// dense metric evaluation.
+fn seed_dense_score_all(
+    aig: &Aig,
+    sim: &bitsim::Sim,
+    eval: &ErrorEval,
+    cands: &[Lac],
+) -> Vec<ScoredLac> {
+    let stride = sim.stride();
+    let n_outputs = aig.n_pos();
+    let current_error = eval.current();
+    let mut by_tn: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    for (i, l) in cands.iter().enumerate() {
+        by_tn.entry(l.tn).or_default().push(i);
+    }
+    let mut order: Vec<NodeId> = by_tn.keys().copied().collect();
+    order.sort_unstable();
+
+    let fanouts = Fanouts::build(aig);
+    let mut cone_sim = SeedConeSim::new(aig, stride);
+    let mut results: Vec<Option<ScoredLac>> = vec![None; cands.len()];
+    let mut dev = vec![0u64; stride];
+    let mut cand_sig = vec![0u64; stride];
+    let mut flips = vec![vec![0u64; stride]; n_outputs];
+
+    for tn in order {
+        let forced: Vec<u64> = sim.sig(tn).iter().map(|w| !w).collect();
+        let masks = cone_sim.output_flips(aig, sim, tn, &forced);
+        let mffc = cone::mffc_size(aig, &fanouts, tn) as i64;
+        for &ci in &by_tn[&tn] {
+            let lac = &cands[ci];
+            lac.signature_into(sim, &mut cand_sig);
+            let base = sim.sig(tn);
+            for w in 0..stride {
+                dev[w] = base[w] ^ cand_sig[w];
+            }
+            for (o, flip) in flips.iter_mut().enumerate() {
+                for w in 0..stride {
+                    flip[w] = dev[w] & masks[o][w];
+                }
+            }
+            let e_new = eval.with_flips(&flips);
+            results[ci] = Some(ScoredLac {
+                lac: *lac,
+                delta_e: e_new - current_error,
+                gain: mffc - lac.new_node_cost() as i64,
+            });
+        }
+    }
+    results.into_iter().map(|r| r.unwrap()).collect()
+}
+
+/// Median wall time of `f` over [`REPEATS`] runs, in milliseconds.
+fn time_median<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut times: Vec<f64> = Vec::with_capacity(REPEATS);
+    let mut last = None;
+    for _ in 0..REPEATS {
+        let t0 = Instant::now();
+        last = Some(f());
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    (times[times.len() / 2], last.unwrap())
+}
+
+/// The sparse/parallel/cached paths all promise bit-identical scores;
+/// a speedup between disagreeing implementations is meaningless.
+fn check_agreement(what: &str, a: &[ScoredLac], b: &[ScoredLac]) {
+    assert_eq!(a.len(), b.len(), "{what}: score count diverged");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(
+            x.delta_e.to_bits(),
+            y.delta_e.to_bits(),
+            "{what}: ΔE diverged for {}",
+            x.lac
+        );
+        assert_eq!(x.gain, y.gain, "{what}: gain diverged for {}", x.lac);
+    }
+}
+
+#[test]
+fn warm_round_one_scores_at_least_twice_as_fast_as_the_seed() {
+    let serial: &'static ThreadPool = Box::leak(Box::new(ThreadPool::new(1)));
+    let par: &'static ThreadPool = Box::leak(Box::new(ThreadPool::new(PAR_THREADS)));
+    let g0 = benchgen::suite::by_name("mtp8").expect("known circuit");
+    let pats = Patterns::random(g0.n_pis(), N_PATTERNS, SEED);
+    let sim0 = simulate(&g0, &pats);
+    let golden = sim0.output_sigs(&g0);
+    let kind = MetricKind::Er;
+    let mut eval0 = ErrorEval::new(kind, &golden, pats.n_patterns());
+    eval0.rebase(&golden);
+    let cands0 = generate_candidates(&g0, &sim0, &CandidateConfig::default());
+
+    // Round 0: the seed-style scores against a serial production pass.
+    let dense0 = seed_dense_score_all(&g0, &sim0, &eval0, &cands0);
+    let sparse0 = BatchEstimator::new(&g0, &sim0, &eval0)
+        .use_pool(serial)
+        .score_all(&cands0);
+    check_agreement("mtp8 round 0", &dense0, &sparse0);
+
+    // A global commit: the three lowest-ΔE picks at distinct targets,
+    // wherever they land, so the roll carries some masks and recomputes
+    // the rest.
+    let mut ranked: Vec<&ScoredLac> = sparse0.iter().filter(|s| s.gain > 0).collect();
+    ranked.sort_by(|a, b| a.delta_e.partial_cmp(&b.delta_e).unwrap());
+    let mut picked: Vec<Lac> = Vec::new();
+    for s in ranked {
+        if picked.iter().all(|l| l.tn != s.lac.tn) {
+            picked.push(s.lac);
+        }
+        if picked.len() == 3 {
+            break;
+        }
+    }
+    let mut g1 = g0.clone();
+    lac::apply_all(&mut g1, &picked);
+    let remap = g1.cleanup().expect("apply keeps the graph acyclic");
+    let sim1 = simulate(&g1, &pats);
+    let mut eval1 = ErrorEval::new(kind, &golden, pats.n_patterns());
+    eval1.rebase(&sim1.output_sigs(&g1));
+    let cands1 = generate_candidates(&g1, &sim1, &CandidateConfig::default());
+
+    // Round 1: the seed has no cache, so it pays the full dense pass.
+    let (seed_dense_ms, dense1) = time_median(|| seed_dense_score_all(&g1, &sim1, &eval1, &cands1));
+    let fresh1 = BatchEstimator::new(&g1, &sim1, &eval1)
+        .use_pool(par)
+        .score_all(&cands1);
+    check_agreement("mtp8 round 1 fresh", &dense1, &fresh1);
+
+    // Warm path: rebuild the cache state each repeat (round-0 scoring
+    // plus the roll through the round's remap) but time only the
+    // round-1 scoring itself.
+    let mut times: Vec<f64> = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
+        let mut cache = MaskCache::new();
+        BatchEstimator::with_cache(&g0, &sim0, &eval0, &mut cache, None)
+            .use_pool(par)
+            .score_all(&cands0);
+        let t0 = Instant::now();
+        let warm1 = BatchEstimator::with_cache(&g1, &sim1, &eval1, &mut cache, Some(&remap))
+            .use_pool(par)
+            .score_all(&cands1);
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+        check_agreement("mtp8 round 1 warm", &dense1, &warm1);
+        assert!(cache.stats().carried > 0, "the roll carried no mask");
+    }
+    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let warm_ms = times[times.len() / 2];
+
+    let speedup = seed_dense_ms / warm_ms.max(1e-9);
+    eprintln!(
+        "mtp8 round 1: seed dense {seed_dense_ms:.2} ms, warm {warm_ms:.2} ms -> {speedup:.2}x"
+    );
+    assert!(
+        speedup >= MIN_SPEEDUP,
+        "mtp8 round 1 warm scoring is {speedup:.2}x the seed dense estimator \
+         ({seed_dense_ms:.2} ms vs {warm_ms:.2} ms), below {MIN_SPEEDUP}x"
+    );
+}
