@@ -40,6 +40,61 @@
 //! assert_eq!(g.eval(&[true, true, true]), vec![true, true]);
 //! ```
 
+#![deny(unsafe_code)]
+
+/// Defines `$name` as the runtime-dispatched instance of the
+/// `#[inline(always)]` kernel body `$body`.
+///
+/// The body is written once and instantiated twice: as is, and inside a
+/// `#[target_feature(enable = "popcnt")]` function on `x86_64`. The
+/// generated entry point calls the POPCNT instance when std's cached
+/// `is_x86_feature_detected!("popcnt")` reports the instruction, and
+/// the scalar instance otherwise. A build without `target-cpu` settings
+/// compiles `count_ones` to a software bit-count sequence; the runtime
+/// choice gets the hardware instruction without baking a CPU
+/// requirement into the binary. Both instances compute the same
+/// values, so the scalar body is the test reference.
+///
+/// ```
+/// aig::dispatched! {
+///     /// Set bits of `a & b`.
+///     pub fn and_pop = and_pop_scalar(a: u64, b: u64) -> u32;
+/// }
+///
+/// #[inline(always)]
+/// fn and_pop_scalar(a: u64, b: u64) -> u32 {
+///     (a & b).count_ones()
+/// }
+///
+/// assert_eq!(and_pop(0b1110, 0b0111), and_pop_scalar(0b1110, 0b0111));
+/// ```
+#[macro_export]
+macro_rules! dispatched {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
+    ) => {
+        $(#[$attr])*
+        #[allow(unsafe_code)]
+        $vis fn $name($($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "popcnt")]
+                fn popcnt_instance($($arg: $ty),*) -> $ret {
+                    $body($($arg),*)
+                }
+                if std::arch::is_x86_feature_detected!("popcnt") {
+                    // SAFETY: `popcnt_instance` requires only the
+                    // `popcnt` feature, which the running CPU was just
+                    // detected to support.
+                    return unsafe { popcnt_instance($($arg),*) };
+                }
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
 mod cone_impl;
 mod dot;
 mod edit;
