@@ -98,7 +98,11 @@ pub fn classify_lac_set(
     } else {
         LacSetClass::Independent
     };
-    Classification { class, e_est, e_new }
+    Classification {
+        class,
+        e_est,
+        e_new,
+    }
 }
 
 #[cfg(test)]

@@ -122,8 +122,10 @@ mod tests {
         // T4's substitute? T4 = L({3,4},5): substitute 3 is T1's target
         // too.
         assert!(g.has_edge(1, 3));
-        assert!(g.has_edge(0, 3)); // T1-T4 via node 3
-        assert!(g.has_edge(2, 3)); // T3-T4 via node 4
+        // T1-T4 via node 3.
+        assert!(g.has_edge(0, 3));
+        // T3-T4 via node 4.
+        assert!(g.has_edge(2, 3));
         // T4-T5: node 5 is T4's target and T5's substitute.
         assert!(g.has_edge(3, 4));
         // T6 is isolated.

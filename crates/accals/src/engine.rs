@@ -392,11 +392,13 @@ impl<'a> RoundScratch<'a> {
     /// Memoized incremental trial measurement of `lacs` against the
     /// round's base circuit. Measurements are pure (the [`TrialEval`]
     /// contract), so the memo is unobservable in the results.
-    fn trial(&mut self, ctx: &RoundCtx<'_, 'a>, lacs: &[ScoredLac], want_n_ands: bool) -> TrialMeasure {
-        let key = (
-            lacs.iter().map(|s| s.lac).collect::<Vec<_>>(),
-            want_n_ands,
-        );
+    fn trial(
+        &mut self,
+        ctx: &RoundCtx<'_, 'a>,
+        lacs: &[ScoredLac],
+        want_n_ands: bool,
+    ) -> TrialMeasure {
+        let key = (lacs.iter().map(|s| s.lac).collect::<Vec<_>>(), want_n_ands);
         if let Some(m) = self.trials.get(&key) {
             return *m;
         }

@@ -101,7 +101,13 @@ fn headroom(aig: &Aig, sim: &Sim, golden_sigs: &[Vec<u64>], n_patterns: usize) -
     }
     min_dev
         .into_iter()
-        .map(|d| if d == u64::MAX { 0.0 } else { 1.0 / (1.0 + d as f64) })
+        .map(|d| {
+            if d == u64::MAX {
+                0.0
+            } else {
+                1.0 / (1.0 + d as f64)
+            }
+        })
         .collect()
 }
 

@@ -32,20 +32,18 @@ impl Aig {
                     let _ = writeln!(s, "  n{} [label=\"&\", shape=circle];", id.index());
                     for f in [a, b] {
                         let style = if f.is_neg() { " [style=dashed]" } else { "" };
-                        let _ = writeln!(
-                            s,
-                            "  n{} -> n{}{};",
-                            f.node().index(),
-                            id.index(),
-                            style
-                        );
+                        let _ = writeln!(s, "  n{} -> n{}{};", f.node().index(), id.index(), style);
                     }
                 }
             }
         }
         for (i, o) in self.outputs().iter().enumerate() {
             let _ = writeln!(s, "  o{i} [label=\"{}\", shape=invtriangle];", o.name);
-            let style = if o.lit.is_neg() { " [style=dashed]" } else { "" };
+            let style = if o.lit.is_neg() {
+                " [style=dashed]"
+            } else {
+                ""
+            };
             let _ = writeln!(s, "  n{} -> o{i}{};", o.lit.node().index(), style);
         }
         s.push_str("}\n");

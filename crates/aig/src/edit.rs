@@ -208,10 +208,7 @@ mod tests {
         let ab = g.and(a, b);
         let top = g.and(ab, !b);
         g.add_output(top, "y");
-        assert_eq!(
-            g.replace(a.node(), b),
-            Err(AigError::NotAnAnd(a.node()))
-        );
+        assert_eq!(g.replace(a.node(), b), Err(AigError::NotAnAnd(a.node())));
         // top is in the fanout of ab; replacing ab with top would cycle.
         assert!(matches!(
             g.replace(ab.node(), top),

@@ -387,9 +387,7 @@ impl Aig {
 
         // Acyclicity, plus level monotonicity recomputed independently
         // of `levels()` over the topological order.
-        let order = self
-            .topo_order()
-            .map_err(|e| format!("not a DAG: {e}"))?;
+        let order = self.topo_order().map_err(|e| format!("not a DAG: {e}"))?;
         let levels = self.levels().map_err(|e| format!("levels failed: {e}"))?;
         let mut seen = vec![false; n];
         for id in order {

@@ -62,8 +62,7 @@ impl Aig {
         let mut levels = vec![0u32; self.n_nodes()];
         for id in order {
             if let Node::And(a, b) = self.node(id) {
-                levels[id.index()] =
-                    1 + levels[a.node().index()].max(levels[b.node().index()]);
+                levels[id.index()] = 1 + levels[a.node().index()].max(levels[b.node().index()]);
             }
         }
         Ok(levels)

@@ -252,7 +252,12 @@ fn dominates(a: (f64, usize), b: (f64, usize), _scale_area: usize, _scale_err: f
 
 /// AMOSA's domination amount: the normalized objective-space area between
 /// two comparable solutions.
-fn domination_amount(winner: (f64, usize), loser: (f64, usize), scale_area: usize, scale_err: f64) -> f64 {
+fn domination_amount(
+    winner: (f64, usize),
+    loser: (f64, usize),
+    scale_area: usize,
+    scale_err: f64,
+) -> f64 {
     let de = (loser.0 - winner.0).abs() / scale_err.max(1e-12);
     let da = (loser.1 as f64 - winner.1 as f64).abs() / scale_area.max(1) as f64;
     (de.max(1e-6)) * (da.max(1e-6))
@@ -269,10 +274,9 @@ fn push_archive(
     }
     // Drop if dominated by an archived design; remove designs it
     // dominates.
-    if archive
-        .iter()
-        .any(|d| dominates((d.error, d.n_ands), obj, 1, 1.0) || (d.error == obj.0 && d.n_ands == obj.1))
-    {
+    if archive.iter().any(|d| {
+        dominates((d.error, d.n_ands), obj, 1, 1.0) || (d.error == obj.0 && d.n_ands == obj.1)
+    }) {
         return;
     }
     archive.retain(|d| !dominates(obj, (d.error, d.n_ands), 1, 1.0));

@@ -143,15 +143,23 @@ pub mod exact {
                     Node::Const0 => {}
                     Node::Input(i) => map[id.index()] = Some(m.pi(i as usize)),
                     Node::And(a, b) => {
-                        let fa = map[a.node().index()].expect("fanins first").xor_neg(a.is_neg());
-                        let fb = map[b.node().index()].expect("fanins first").xor_neg(b.is_neg());
+                        let fa = map[a.node().index()]
+                            .expect("fanins first")
+                            .xor_neg(a.is_neg());
+                        let fb = map[b.node().index()]
+                            .expect("fanins first")
+                            .xor_neg(b.is_neg());
                         map[id.index()] = Some(m.and(fa, fb));
                     }
                 }
             }
             src.outputs()
                 .iter()
-                .map(|o| map[o.lit.node().index()].expect("live").xor_neg(o.lit.is_neg()))
+                .map(|o| {
+                    map[o.lit.node().index()]
+                        .expect("live")
+                        .xor_neg(o.lit.is_neg())
+                })
                 .collect()
         };
         let g_out = copy(golden, &mut m);
@@ -263,7 +271,10 @@ mod tests {
         let as_ = simulate(&approx, &pats).output_sigs(&approx);
         let sampled = errmetrics::error(errmetrics::MetricKind::Er, &gs, &as_, 64);
         let exact_er = exact::error_rate(&golden, &approx, 1 << 20).unwrap();
-        assert!((sampled - exact_er).abs() < 1e-12, "{sampled} vs {exact_er}");
+        assert!(
+            (sampled - exact_er).abs() < 1e-12,
+            "{sampled} vs {exact_er}"
+        );
     }
 
     #[test]

@@ -269,7 +269,11 @@ impl Manager {
         let mut outs = Vec::with_capacity(aig.n_pos());
         for o in aig.outputs() {
             let base = map[o.lit.node().index()].expect("output drivers are live");
-            outs.push(if o.lit.is_neg() { self.not(base)? } else { base });
+            outs.push(if o.lit.is_neg() {
+                self.not(base)?
+            } else {
+                base
+            });
         }
         Ok(outs)
     }

@@ -103,7 +103,14 @@ fn main() {
 fn estimator_ablation(circuits: &[String]) {
     let mut table = Table::new(
         "Estimator ablation: change-propagation vs exact-on-sample",
-        &["ckt", "candidates", "batch_s", "exact_s", "speedup", "max_abs_diff"],
+        &[
+            "ckt",
+            "candidates",
+            "batch_s",
+            "exact_s",
+            "speedup",
+            "max_abs_diff",
+        ],
     );
     for name in circuits {
         let g = suite::by_name(name).expect("known circuit");

@@ -24,8 +24,7 @@ fn main() {
     // AccALS ladder runs as one batched sweep job (shared simulation,
     // cohort execution) — per-threshold results are bit-identical to
     // standalone runs; see `run_accals_sweep`.
-    let mut by_threshold: BTreeMap<String, (Vec<FlowOutcome>, Vec<FlowOutcome>)> =
-        BTreeMap::new();
+    let mut by_threshold: BTreeMap<String, (Vec<FlowOutcome>, Vec<FlowOutcome>)> = BTreeMap::new();
     let mut by_circuit: BTreeMap<String, (Vec<FlowOutcome>, Vec<FlowOutcome>)> = BTreeMap::new();
     for name in &circuits {
         let g = suite::by_name(name).expect("known circuit");

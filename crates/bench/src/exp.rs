@@ -213,7 +213,11 @@ pub fn average(outcomes: &[FlowOutcome]) -> FlowOutcome {
         delay_ratio: sum_f(|o| o.delay_ratio),
         adp_ratio: sum_f(|o| o.adp_ratio),
         runtime: Duration::from_secs_f64(
-            outcomes.iter().map(|o| o.runtime.as_secs_f64()).sum::<f64>() / n,
+            outcomes
+                .iter()
+                .map(|o| o.runtime.as_secs_f64())
+                .sum::<f64>()
+                / n,
         ),
         error: sum_f(|o| o.error),
         rounds: (outcomes.iter().map(|o| o.rounds).sum::<usize>() as f64 / n).round() as usize,

@@ -2,9 +2,7 @@
 //! scaled-down functional equivalents of the EPFL `div`, `sqrt`, and
 //! `square` arithmetic benchmarks.
 
-use crate::primitives::{
-    full_adder, half_adder, input_word, mux_word, output_word, ripple_sub,
-};
+use crate::primitives::{full_adder, half_adder, input_word, mux_word, output_word, ripple_sub};
 use aig::{Aig, Lit};
 
 /// Restoring array divider: `width`-bit dividend `a` and divisor `d`,

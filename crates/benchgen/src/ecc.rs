@@ -78,7 +78,11 @@ pub fn hamming_decoder(data_bits: usize) -> Aig {
     let mut data = Vec::with_capacity(data_bits);
     for &pos in &dpos {
         // Flip the bit if the syndrome points at it.
-        let flip = if pos < sel.len() { sel[pos] } else { Lit::FALSE };
+        let flip = if pos < sel.len() {
+            sel[pos]
+        } else {
+            Lit::FALSE
+        };
         data.push(g.xor(c[pos - 1], flip));
     }
     output_word(&mut g, &data, "d");
@@ -134,7 +138,11 @@ pub fn hamming_codec(data_bits: usize) -> Aig {
     let sel = minterms(&mut g, &syndrome);
     let mut data = Vec::with_capacity(data_bits);
     for &pos in &dpos {
-        let flip = if pos < sel.len() { sel[pos] } else { Lit::FALSE };
+        let flip = if pos < sel.len() {
+            sel[pos]
+        } else {
+            Lit::FALSE
+        };
         data.push(g.xor(c[pos - 1], flip));
     }
     output_word(&mut g, &data, "d");

@@ -33,7 +33,8 @@ pub fn log2(width: usize, lut_bits: usize, frac_bits: usize) -> Aig {
     let mut mant: Vec<Lit> = vec![Lit::FALSE; lut_bits];
     let mut found = Lit::FALSE;
     for p in (0..width).rev() {
-        let here = g.and(!found, x[p]); // leading one at position p
+        // Leading one at position p.
+        let here = g.and(!found, x[p]);
         // Exponent value p.
         for (b, e) in exp.iter_mut().enumerate() {
             if p >> b & 1 == 1 {

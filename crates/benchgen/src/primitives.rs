@@ -110,7 +110,10 @@ pub fn output_word(g: &mut Aig, word: &[Lit], prefix: &str) {
 ///
 /// Panics if `lits.len() > 16`.
 pub fn minterms(g: &mut Aig, lits: &[Lit]) -> Vec<Lit> {
-    assert!(lits.len() <= 16, "minterm expansion limited to 16 variables");
+    assert!(
+        lits.len() <= 16,
+        "minterm expansion limited to 16 variables"
+    );
     match lits {
         [] => vec![Lit::TRUE],
         [l] => vec![!*l, *l],

@@ -157,7 +157,9 @@ pub fn simulate_into(aig: &Aig, pats: &Patterns, mut buf: Vec<u64>) -> Sim {
         aig.n_pis()
     );
     let stride = pats.stride();
-    let order = aig.topo_order().expect("simulation requires an acyclic graph");
+    let order = aig
+        .topo_order()
+        .expect("simulation requires an acyclic graph");
     let len = aig.n_nodes() * stride;
     // Every row is written below (the order covers every node), so the
     // stale contents of a recycled buffer never survive. A buffer too
@@ -225,7 +227,11 @@ mod tests {
             let want = g.eval(&ins);
             for (o, w) in want.iter().enumerate() {
                 let sig = sim.output_sig(&g, o);
-                assert_eq!(sig[p / 64] >> (p % 64) & 1 == 1, *w, "output {o} pattern {p}");
+                assert_eq!(
+                    sig[p / 64] >> (p % 64) & 1 == 1,
+                    *w,
+                    "output {o} pattern {p}"
+                );
             }
         }
     }

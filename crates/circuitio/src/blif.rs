@@ -143,8 +143,7 @@ pub fn read(text: &str) -> Result<Aig, ParseError> {
                     return Err(ParseError::at(".names needs at least an output", line));
                 }
                 let mut cubes = Vec::new();
-                while idx + 1 < logical.len() && !logical[idx + 1].1.trim_start().starts_with('.')
-                {
+                while idx + 1 < logical.len() && !logical[idx + 1].1.trim_start().starts_with('.') {
                     idx += 1;
                     cubes.push(logical[idx].1.trim().to_string());
                 }
@@ -249,7 +248,10 @@ fn build_cover(
                 '0' => product.push(!lit),
                 '-' => {}
                 other => {
-                    return Err(ParseError::at(format!("bad cube character `{other}`"), line))
+                    return Err(ParseError::at(
+                        format!("bad cube character `{other}`"),
+                        line,
+                    ))
                 }
             }
         }

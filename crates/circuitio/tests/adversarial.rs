@@ -35,7 +35,10 @@ fn binary_huge_header_is_rejected_not_allocated() {
         "aig 4 2 0 99999999999999 2\n",
     ] {
         let err = aiger::read_binary(header.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("exceeds"), "header {header:?}: {err}");
+        assert!(
+            err.to_string().contains("exceeds"),
+            "header {header:?}: {err}"
+        );
     }
 }
 

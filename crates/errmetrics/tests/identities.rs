@@ -12,10 +12,7 @@ use proptest::prelude::*;
 
 /// Truth-table signatures for `n_outputs` functions of `n_pis` inputs:
 /// an exhaustive sample with `2^n_pis` patterns.
-fn truth_tables(
-    n_pis: usize,
-    n_outputs: usize,
-) -> impl Strategy<Value = Vec<Vec<u64>>> {
+fn truth_tables(n_pis: usize, n_outputs: usize) -> impl Strategy<Value = Vec<Vec<u64>>> {
     let stride = (1usize << n_pis).div_ceil(64);
     proptest::collection::vec(proptest::collection::vec(any::<u64>(), stride), n_outputs)
 }
@@ -29,7 +26,12 @@ fn value_at(sigs: &[Vec<u64>], p: usize) -> u128 {
 }
 
 /// The metric computed by exhaustive enumeration over every pattern.
-fn enumerated(kind: MetricKind, golden: &[Vec<u64>], approx: &[Vec<u64>], n_patterns: usize) -> f64 {
+fn enumerated(
+    kind: MetricKind,
+    golden: &[Vec<u64>],
+    approx: &[Vec<u64>],
+    n_patterns: usize,
+) -> f64 {
     let n = n_patterns as f64;
     let m = golden.len();
     let mut sum = 0.0f64;

@@ -6,10 +6,7 @@ use errmetrics::{error, ErrorEval, MetricKind};
 use proptest::prelude::*;
 
 fn sig_set(n_outputs: usize, stride: usize) -> impl Strategy<Value = Vec<Vec<u64>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(any::<u64>(), stride),
-        n_outputs,
-    )
+    proptest::collection::vec(proptest::collection::vec(any::<u64>(), stride), n_outputs)
 }
 
 proptest! {

@@ -41,16 +41,12 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
             "--seed" => {
                 let v = value("--seed")?;
                 let v = v.strip_prefix("0x").unwrap_or(&v);
-                args.seed =
-                    u64::from_str_radix(v, 16).map_err(|e| format!("bad --seed: {e}"))?;
+                args.seed = u64::from_str_radix(v, 16).map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--iters" => {
                 args.iters = value("--iters")?
@@ -151,9 +147,7 @@ fn main() -> ExitCode {
             let r = shrink(&f.case, 200);
             println!(
                 "shrunk after {} runs (oracle `{}`):\n  {}",
-                r.runs,
-                r.failure.oracle,
-                r.case
+                r.runs, r.failure.oracle, r.case
             );
             ExitCode::FAILURE
         }

@@ -69,10 +69,7 @@ impl std::fmt::Display for Failure {
         write!(
             f,
             "oracle `{}` failed at op {}: {}\n  repro: {}",
-            self.oracle,
-            self.op,
-            self.detail,
-            self.case
+            self.oracle, self.op, self.detail, self.case
         )
     }
 }
@@ -127,9 +124,7 @@ fn image(remap: &[Option<Lit>], l: Lit) -> Option<Lit> {
 /// `new` (B → C) gives A → C. Nodes appended after revision A need no
 /// preimage, so the composed map covers exactly A's table.
 fn compose_remaps(old: &[Option<Lit>], new: &[Option<Lit>]) -> Vec<Option<Lit>> {
-    old.iter()
-        .map(|l| l.and_then(|l| image(new, l)))
-        .collect()
+    old.iter().map(|l| l.and_then(|l| image(new, l))).collect()
 }
 
 fn identity_remap(n: usize) -> Vec<Option<Lit>> {
@@ -299,9 +294,8 @@ impl<'c> Driver<'c> {
             // Decorrelated stream: the top-set knobs must not perturb
             // the main op-sequence RNG, or every case downstream of this
             // oracle would reshuffle.
-            let mut krng = StdRng::seed_from_u64(
-                crate::stream_u64(self.case.seed, 0x70b0 ^ self.op as u64),
-            );
+            let mut krng =
+                StdRng::seed_from_u64(crate::stream_u64(self.case.seed, 0x70b0 ^ self.op as u64));
             let e_b = [0.05, 0.25, 1.0][krng.gen_range(0..3usize)];
             let r_ref = krng.gen_range(1..=6usize);
             let k = r_ref.max(8);
@@ -311,7 +305,7 @@ impl<'c> Driver<'c> {
             let check = move |what: String,
                               topk: Vec<ScoredLac>,
                               st: estimate::TopkStats|
-             -> Result<(), Failure> {
+                  -> Result<(), Failure> {
                 let fail = |oracle: &str, detail: String| Failure {
                     case: fcase,
                     op: fop,
@@ -505,7 +499,8 @@ impl<'c> Driver<'c> {
         }
         let limit = 1 << 20;
         if let Ok(exact) = bdd::exact::error_rate(&self.golden, &self.current, limit) {
-            let sampled = errmetrics::measure(MetricKind::Er, &self.golden, &self.current, &self.pats);
+            let sampled =
+                errmetrics::measure(MetricKind::Er, &self.golden, &self.current, &self.pats);
             if (exact - sampled).abs() > 1e-9 {
                 return Err(self.fail(
                     "bdd/error-rate",
@@ -573,9 +568,8 @@ impl<'c> Driver<'c> {
         }
         // Decorrelated stream for the sweep knobs, like the top-set
         // knobs: they must not perturb the main op-sequence RNG.
-        let mut krng = StdRng::seed_from_u64(
-            crate::stream_u64(self.case.seed, 0x5e11 ^ self.op as u64),
-        );
+        let mut krng =
+            StdRng::seed_from_u64(crate::stream_u64(self.case.seed, 0x5e11 ^ self.op as u64));
         // Distance metrics accumulate error gradually on tiny circuits,
         // so a bound ladder splits the cohort mid-flight (the case the
         // late-fork fault corrupts); ER tends to jump straight past
@@ -747,11 +741,11 @@ impl<'c> Driver<'c> {
         // (no window selection fires) and stay bit-identical — same
         // trajectory, same final error bits, same area.
         if self.current.n_ands() <= 64 {
-            let mut krng = StdRng::seed_from_u64(
-                crate::stream_u64(self.case.seed, 0x317d ^ self.op as u64),
-            );
+            let mut krng =
+                StdRng::seed_from_u64(crate::stream_u64(self.case.seed, 0x317d ^ self.op as u64));
             let metric = [MetricKind::Er, MetricKind::Nmed][krng.gen_range(0..2usize)];
-            let mut cfg = AccalsConfig::new(metric, 0.004 * (1u32 << krng.gen_range(0..4u32)) as f64);
+            let mut cfg =
+                AccalsConfig::new(metric, 0.004 * (1u32 << krng.gen_range(0..4u32)) as f64);
             cfg.r_ref = SizeParam::Fixed(12);
             cfg.r_sel = SizeParam::Fixed(3);
             cfg.max_rounds = 8;
@@ -760,7 +754,9 @@ impl<'c> Driver<'c> {
             cfg.seed = crate::stream_u64(self.case.seed, 0x317e ^ self.op as u64);
             cfg.candidates = self.ccfg.clone();
             let dense = Accals::new(cfg.clone()).synthesize(&self.current);
-            cfg.window = Some(WindowSpec { max_targets: usize::MAX });
+            cfg.window = Some(WindowSpec {
+                max_targets: usize::MAX,
+            });
             let full_win = Accals::new(cfg).synthesize(&self.current);
             if let Some(r) = sweep::divergence_round(&dense.rounds, &full_win.rounds) {
                 return Err(self.fail(
@@ -814,7 +810,11 @@ fn pick_set(rng: &mut StdRng, scored: &[ScoredLac]) -> Vec<ScoredLac> {
 /// Where the candidate lists first diverged, for failure reports.
 fn describe_list_diff(stored: &[Lac], fresh: &[Lac]) -> String {
     if stored.len() != fresh.len() {
-        return format!("store returned {} candidates, fresh {}", stored.len(), fresh.len());
+        return format!(
+            "store returned {} candidates, fresh {}",
+            stored.len(),
+            fresh.len()
+        );
     }
     for (i, (s, f)) in stored.iter().zip(fresh).enumerate() {
         if s != f {
@@ -924,7 +924,11 @@ fn run_case_inner(case: &FuzzCase, op_at: &std::cell::Cell<usize>) -> Result<Cas
     let pats = if case.n_patterns == 0 {
         Patterns::exhaustive(golden.n_pis())
     } else {
-        Patterns::random(golden.n_pis(), case.n_patterns, crate::stream_u64(case.seed, 3))
+        Patterns::random(
+            golden.n_pis(),
+            case.n_patterns,
+            crate::stream_u64(case.seed, 3),
+        )
     };
     let golden_sim = simulate(&golden, &pats);
     let golden_sigs = golden_sim.output_sigs(&golden);

@@ -35,7 +35,10 @@ fn reductions(c: &FuzzCase, fail_op: usize) -> Vec<FuzzCase> {
         }
     };
     if fail_op + 1 < c.n_ops {
-        push(FuzzCase { n_ops: fail_op + 1, ..*c });
+        push(FuzzCase {
+            n_ops: fail_op + 1,
+            ..*c
+        });
     }
     for ops in [c.n_ops / 2, c.n_ops.saturating_sub(1)] {
         if ops >= 1 && ops < c.n_ops {
@@ -59,7 +62,10 @@ fn reductions(c: &FuzzCase, fail_op: usize) -> Vec<FuzzCase> {
         }
     }
     if c.n_patterns > 64 {
-        push(FuzzCase { n_patterns: 64, ..*c });
+        push(FuzzCase {
+            n_patterns: 64,
+            ..*c
+        });
     }
     out
 }

@@ -139,7 +139,10 @@ pub(crate) struct SeenSet {
 
 impl SeenSet {
     pub(crate) fn new(n_nodes: usize) -> Self {
-        SeenSet { stamp: 0, marks: vec![0; n_nodes] }
+        SeenSet {
+            stamp: 0,
+            marks: vec![0; n_nodes],
+        }
     }
 
     fn begin(&mut self) {
@@ -798,10 +801,16 @@ mod tests {
             ..CandidateConfig::default()
         };
         let cands = generate_candidates(&g, &sim, &only_const);
-        assert!(cands
-            .iter()
-            .all(|l| matches!(l.kind, LacKind::Constant(_))));
-        assert_eq!(cands.len(), 2 * g.live_mask().iter().skip(1 + g.n_pis()).filter(|&&x| x).count());
+        assert!(cands.iter().all(|l| matches!(l.kind, LacKind::Constant(_))));
+        assert_eq!(
+            cands.len(),
+            2 * g
+                .live_mask()
+                .iter()
+                .skip(1 + g.n_pis())
+                .filter(|&&x| x)
+                .count()
+        );
     }
 
     #[test]
@@ -839,8 +848,14 @@ mod tests {
         let extras = [n(20), n(21)];
         let divisors = assemble_divisors(&locals, &extras, 8);
         assert_eq!(divisors.len(), 8);
-        assert!(divisors.contains(&n(20)), "first extra truncated: {divisors:?}");
-        assert!(divisors.contains(&n(21)), "second extra truncated: {divisors:?}");
+        assert!(
+            divisors.contains(&n(20)),
+            "first extra truncated: {divisors:?}"
+        );
+        assert!(
+            divisors.contains(&n(21)),
+            "second extra truncated: {divisors:?}"
+        );
         assert_eq!(&divisors[..6], &locals[..6], "locals must keep priority");
 
         // A duplicate or colliding extra frees its slot for backfill.

@@ -69,8 +69,8 @@ impl Lac {
         match self.kind {
             LacKind::Constant(_) | LacKind::Wire { .. } => 0,
             LacKind::Binary { tt, .. } => match tt.count_ones() {
-                0 | 4 => 0,            // constant
-                1 | 3 => 1,            // single (possibly inverted) minterm
+                0 | 4 => 0, // constant
+                1 | 3 => 1, // single (possibly inverted) minterm
                 _ => match tt {
                     0b1010 | 0b0101 | 0b1100 | 0b0011 => 0, // wire
                     0b0110 | 0b1001 => 3,                   // xor / xnor
@@ -168,7 +168,12 @@ impl fmt::Display for Lac {
         match self.kind {
             LacKind::Constant(v) => write!(f, "L({{}}, {}) := {}", self.tn, v as u8),
             LacKind::Wire { sn, neg } => {
-                write!(f, "L({{{sn}}}, {}) := {}{sn}", self.tn, if neg { "!" } else { "" })
+                write!(
+                    f,
+                    "L({{{sn}}}, {}) := {}{sn}",
+                    self.tn,
+                    if neg { "!" } else { "" }
+                )
             }
             LacKind::Binary { sns, tt } => write!(
                 f,
@@ -195,9 +200,15 @@ mod tests {
         let n = NodeId::new(5);
         assert_eq!(Lac::new(n, LacKind::Constant(true)).sns().count(), 0);
         assert_eq!(
-            Lac::new(n, LacKind::Wire { sn: NodeId::new(2), neg: false })
-                .sns()
-                .collect::<Vec<_>>(),
+            Lac::new(
+                n,
+                LacKind::Wire {
+                    sn: NodeId::new(2),
+                    neg: false
+                }
+            )
+            .sns()
+            .collect::<Vec<_>>(),
             vec![NodeId::new(2)]
         );
         assert_eq!(
@@ -223,7 +234,13 @@ mod tests {
         let sim = simulate(&g, &pats);
         let (pa, pb) = (g.pi(0).node(), g.pi(1).node());
 
-        let or_lac = Lac::new(y.node(), LacKind::Binary { sns: [pa, pb], tt: 0b1110 });
+        let or_lac = Lac::new(
+            y.node(),
+            LacKind::Binary {
+                sns: [pa, pb],
+                tt: 0b1110,
+            },
+        );
         assert_eq!(or_lac.signature(&sim)[0] & 0b1111, 0b1110);
 
         let wire = Lac::new(y.node(), LacKind::Wire { sn: pa, neg: true });
@@ -254,7 +271,13 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let l = Lac::new(NodeId::new(4), LacKind::Wire { sn: NodeId::new(2), neg: true });
+        let l = Lac::new(
+            NodeId::new(4),
+            LacKind::Wire {
+                sn: NodeId::new(2),
+                neg: true,
+            },
+        );
         assert_eq!(l.to_string(), "L({n2}, n4) := !n2");
     }
 }

@@ -63,9 +63,7 @@
 //! a carried entry is exactly what fresh generation would produce, and
 //! dirty nodes can be regenerated in parallel in any order.
 
-use crate::gen::{
-    build_pool, sig_key, CandidateConfig, GenCounters, GenCtx, GenScratch, NodeGen,
-};
+use crate::gen::{build_pool, sig_key, CandidateConfig, GenCounters, GenCtx, GenScratch, NodeGen};
 use crate::kinds::{Lac, LacKind};
 use aig::{Aig, Fanouts, Lit, Node, NodeId};
 use bitsim::Sim;
@@ -305,10 +303,15 @@ fn carry_entry(
         let mut expected = base;
         for ci in cr {
             let r = old.dev_index[ci];
-            debug_assert_eq!(r.start as usize, expected, "entry dev payload not contiguous");
+            debug_assert_eq!(
+                r.start as usize, expected,
+                "entry dev payload not contiguous"
+            );
             expected = r.start as usize + r.len as usize;
-            next.dev_index
-                .push(Region::new(dstart + r.start as usize - base, r.len as usize));
+            next.dev_index.push(Region::new(
+                dstart + r.start as usize - base,
+                r.len as usize,
+            ));
         }
     }
     debug_assert_eq!(next.cands.len(), next.dev_index.len());
@@ -337,7 +340,8 @@ fn carry_entry(
         *d = img(*d);
     }
     let fo_start = next.fo_deps.len();
-    next.fo_deps.extend_from_slice(&old.fo_deps[meta.fo_deps.range()]);
+    next.fo_deps
+        .extend_from_slice(&old.fo_deps[meta.fo_deps.range()]);
     for d in &mut next.fo_deps[fo_start..] {
         *d = img(*d);
     }
@@ -504,7 +508,16 @@ impl CandidateStore {
         } else {
             remap.and_then(|r| {
                 self.carry(
-                    aig, sim, cfg, &levels, &live, &fanouts, &pool_nodes, &pool_keys, r, &mut next,
+                    aig,
+                    sim,
+                    cfg,
+                    &levels,
+                    &live,
+                    &fanouts,
+                    &pool_nodes,
+                    &pool_keys,
+                    r,
+                    &mut next,
                 )
             })
         };
@@ -557,7 +570,8 @@ impl CandidateStore {
                 };
                 for k in range {
                     crate::gen::gen_node(&ctx, dirty[k], &mut scratch, &mut node, &mut cb.ctrs);
-                    cb.metas.push(cb.arena.push_node(&node, sim, &mut sig, born));
+                    cb.metas
+                        .push(cb.arena.push_node(&node, sim, &mut sig, born));
                 }
                 cb
             };
@@ -592,8 +606,14 @@ impl CandidateStore {
                 for meta in cb.metas {
                     let id = ids.next().expect("one entry per dirty node");
                     entries[id.index()] = Some(EntryMeta {
-                        cands: Region::new(base_c + meta.cands.start as usize, meta.cands.len as usize),
-                        deps: Region::new(base_d + meta.deps.start as usize, meta.deps.len as usize),
+                        cands: Region::new(
+                            base_c + meta.cands.start as usize,
+                            meta.cands.len as usize,
+                        ),
+                        deps: Region::new(
+                            base_d + meta.deps.start as usize,
+                            meta.deps.len as usize,
+                        ),
                         fo_deps: Region::new(
                             base_f + meta.fo_deps.start as usize,
                             meta.fo_deps.len as usize,
@@ -774,7 +794,8 @@ impl CandidateStore {
         // dirty one need no demotion: the dirty twin's equal weight
         // already trips the `>=` floor check wherever the stable twin
         // was drawn.)
-        let mut by_key: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
+        let mut by_key: std::collections::HashMap<u64, Vec<usize>> =
+            std::collections::HashMap::new();
         for (i, v) in pool_nodes.iter().enumerate() {
             if stable[v.index()] {
                 by_key.entry(pool_keys[i]).or_default().push(v.index());
@@ -926,7 +947,10 @@ impl CandidateStore {
     /// (diagnostics / tests).
     #[doc(hidden)]
     pub fn entry_born(&self, n: NodeId) -> Option<u64> {
-        self.entries.get(n.index()).and_then(Option::as_ref).map(|e| e.born)
+        self.entries
+            .get(n.index())
+            .and_then(Option::as_ref)
+            .map(|e| e.born)
     }
 
     /// Test-support fault injection: when enabled, carry skips survival
@@ -1073,8 +1097,7 @@ mod tests {
         // signature are untouched — while the unrelated same-level
         // control node W = e & f survives the roll.
         let mut g = Aig::new("sib", 6);
-        let (a, b, c, d, e, f) =
-            (g.pi(0), g.pi(1), g.pi(2), g.pi(3), g.pi(4), g.pi(5));
+        let (a, b, c, d, e, f) = (g.pi(0), g.pi(1), g.pi(2), g.pi(3), g.pi(4), g.pi(5));
         let x = g.and(a, b);
         let t = g.and(c, d);
         let s = g.and(t, e);
@@ -1095,7 +1118,13 @@ mod tests {
         let mut g1 = g.clone();
         crate::apply(
             &mut g1,
-            &Lac::new(s.node(), LacKind::Wire { sn: t.node(), neg: false }),
+            &Lac::new(
+                s.node(),
+                LacKind::Wire {
+                    sn: t.node(),
+                    neg: false,
+                },
+            ),
         )
         .unwrap();
         let remap = g1.cleanup().unwrap();
@@ -1129,8 +1158,7 @@ mod tests {
         // the divergence the differential oracles exist to catch).
         let build = || {
             let mut g = Aig::new("sib", 6);
-            let (a, b, c, d, e, f) =
-                (g.pi(0), g.pi(1), g.pi(2), g.pi(3), g.pi(4), g.pi(5));
+            let (a, b, c, d, e, f) = (g.pi(0), g.pi(1), g.pi(2), g.pi(3), g.pi(4), g.pi(5));
             let x = g.and(a, b);
             let t = g.and(c, d);
             let s = g.and(t, e);
@@ -1152,7 +1180,13 @@ mod tests {
             let mut g1 = g.clone();
             crate::apply(
                 &mut g1,
-                &Lac::new(s.node(), LacKind::Wire { sn: t.node(), neg: false }),
+                &Lac::new(
+                    s.node(),
+                    LacKind::Wire {
+                        sn: t.node(),
+                        neg: false,
+                    },
+                ),
             )
             .unwrap();
             let remap = g1.cleanup().unwrap();
@@ -1184,8 +1218,18 @@ mod tests {
         let pats = Patterns::exhaustive(8);
         let sim = simulate(&g, &pats);
         let mut store = CandidateStore::new();
-        store.generate(&g, &sim, &CandidateConfig::default(), None, leaked_pool(1), None);
-        let altered = CandidateConfig { k_wire: 5, ..CandidateConfig::default() };
+        store.generate(
+            &g,
+            &sim,
+            &CandidateConfig::default(),
+            None,
+            leaked_pool(1),
+            None,
+        );
+        let altered = CandidateConfig {
+            k_wire: 5,
+            ..CandidateConfig::default()
+        };
         let identity: Vec<Option<Lit>> = (0..g.n_nodes())
             .map(|i| Some(Lit::new(NodeId::new(i), false)))
             .collect();

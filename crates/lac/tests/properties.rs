@@ -152,8 +152,7 @@ fn eval_with_override(g: &Aig, inputs: &[bool], pin: usize, value: bool) -> Vec<
             aig::Node::Const0 => false,
             aig::Node::Input(k) => inputs[k as usize],
             aig::Node::And(a, b) => {
-                (values[a.node().index()] ^ a.is_neg())
-                    && (values[b.node().index()] ^ b.is_neg())
+                (values[a.node().index()] ^ a.is_neg()) && (values[b.node().index()] ^ b.is_neg())
             }
         };
         if i == pin {

@@ -121,11 +121,10 @@ mod tests {
     #[test]
     fn exact_matches_brute_force_on_petersen() {
         // The Petersen graph: MIS size 4.
-        let edges = [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), // outer cycle
-            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5), // inner star
-            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9), // spokes
-        ];
+        let outer_cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)];
+        let inner_star = [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)];
+        let spokes = [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)];
+        let edges = [outer_cycle, inner_star, spokes].concat();
         let g = Graph::from_edges(10, edges);
         let set = exact(&g);
         assert!(g.is_independent(&set));

@@ -257,7 +257,17 @@ mod tests {
     fn local_search_never_worse_than_greedy() {
         let g = Graph::from_edges(
             8,
-            [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)],
+            [
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 0),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (7, 4),
+                (0, 4),
+            ],
         );
         let greedy = greedy_min_degree(&g);
         let improved = local_search(&g, greedy.clone(), 100, 11);

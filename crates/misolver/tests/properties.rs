@@ -7,10 +7,9 @@ use proptest::prelude::*;
 
 fn random_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2usize..=max_n).prop_flat_map(|n| {
-        proptest::collection::vec(any::<(usize, usize)>(), 0..n * 2)
-            .prop_map(move |edges| {
-                Graph::from_edges(n, edges.into_iter().map(|(u, v)| (u % n, v % n)))
-            })
+        proptest::collection::vec(any::<(usize, usize)>(), 0..n * 2).prop_map(move |edges| {
+            Graph::from_edges(n, edges.into_iter().map(|(u, v)| (u % n, v % n)))
+        })
     })
 }
 

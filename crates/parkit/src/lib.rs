@@ -33,7 +33,11 @@ pub const THREADS_ENV: &str = "ACCALS_THREADS";
 /// typo'd `ACCALS_THREADS=1O` changing a benchmark's thread count is
 /// exactly the kind of surprise a measurement run cannot afford.
 pub fn configured_threads() -> usize {
-    parse_thread_env(THREADS_ENV, std::env::var(THREADS_ENV).ok().as_deref(), default_threads())
+    parse_thread_env(
+        THREADS_ENV,
+        std::env::var(THREADS_ENV).ok().as_deref(),
+        default_threads(),
+    )
 }
 
 /// Parses a thread-count environment override: `raw` is the variable's

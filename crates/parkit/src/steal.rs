@@ -89,7 +89,11 @@ impl<T: Send> StealQueue<T> {
         // (seed, index) land far apart for adjacent indices.
         let mut state = self.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         splitmix64(&mut state);
-        StealWorker { queue: self, index, rng: state }
+        StealWorker {
+            queue: self,
+            index,
+            rng: state,
+        }
     }
 
     fn pop_own(&self, index: usize) -> Option<T> {
@@ -244,7 +248,10 @@ mod tests {
         // With 64 one-millisecond tasks and three idle thieves, at least
         // one steal is effectively certain; zero would mean stealing is
         // broken.
-        assert!(by_thief.load(Ordering::SeqCst) > 0, "no task was ever stolen");
+        assert!(
+            by_thief.load(Ordering::SeqCst) > 0,
+            "no task was ever stolen"
+        );
     }
 
     #[test]

@@ -26,9 +26,7 @@ macro_rules! impl_arbitrary_fill {
         }
     )*};
 }
-impl_arbitrary_fill!(
-    bool, u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, isize, f64, f32
-);
+impl_arbitrary_fill!(bool, u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, isize, f64, f32);
 
 macro_rules! impl_arbitrary_tuple {
     ($($name:ident),+) => {

@@ -36,11 +36,7 @@ pub trait Strategy {
     /// Rejects generated values for which `f` is false. After 100
     /// consecutive rejections the filter panics (the property is too
     /// restrictive).
-    fn prop_filter<F: Fn(&Self::Value) -> bool>(
-        self,
-        whence: &'static str,
-        f: F,
-    ) -> Filter<Self, F>
+    fn prop_filter<F: Fn(&Self::Value) -> bool>(self, whence: &'static str, f: F) -> Filter<Self, F>
     where
         Self: Sized,
     {
@@ -109,7 +105,10 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
                 return v;
             }
         }
-        panic!("prop_filter rejected 100 consecutive values: {}", self.whence);
+        panic!(
+            "prop_filter rejected 100 consecutive values: {}",
+            self.whence
+        );
     }
 }
 

@@ -176,7 +176,12 @@ impl SweepJob {
     /// swapped in — the common "nested bounds of one family" shape
     /// whose shared prefixes the cohort engine exploits. Returns the
     /// new instance ids.
-    pub fn add_grid(&mut self, circuit: CircuitId, base: &AccalsConfig, bounds: &[f64]) -> Vec<usize> {
+    pub fn add_grid(
+        &mut self,
+        circuit: CircuitId,
+        base: &AccalsConfig,
+        bounds: &[f64],
+    ) -> Vec<usize> {
         bounds
             .iter()
             .map(|&b| {

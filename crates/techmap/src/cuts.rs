@@ -44,7 +44,10 @@ pub fn enumerate_cuts(aig: &Aig) -> Vec<Vec<Cut>> {
                 for cut_a in ca {
                     for cut_b in cb {
                         if let Some(cut) = merge(cut_a, a.is_neg(), cut_b, b.is_neg()) {
-                            if !list.iter().any(|c| c.leaves == cut.leaves && c.tt == cut.tt) {
+                            if !list
+                                .iter()
+                                .any(|c| c.leaves == cut.leaves && c.tt == cut.tt)
+                            {
                                 list.push(cut);
                             }
                         }
@@ -152,7 +155,8 @@ mod tests {
             let list = &cuts[id.index()];
             assert!(!list.is_empty());
             assert!(
-                list.iter().any(|c| c.leaves.len() <= 2 && c.leaves != vec![id]),
+                list.iter()
+                    .any(|c| c.leaves.len() <= 2 && c.leaves != vec![id]),
                 "node {id} lacks a non-trivial small cut"
             );
             // Trivial cut present.

@@ -67,18 +67,16 @@ pub fn parse(text: &str) -> Result<Library, GenlibError> {
                     .parse()
                     .map_err(|_| err("bad area", line_no))?;
                 let rest: String = toks.collect::<Vec<_>>().join(" ");
-                let body = rest
-                    .strip_suffix(';')
-                    .unwrap_or(&rest)
-                    .trim()
-                    .to_string();
+                let body = rest.strip_suffix(';').unwrap_or(&rest).trim().to_string();
                 let (_, expr) = body
                     .split_once('=')
                     .ok_or_else(|| err("expected `output=expression;`", line_no))?;
                 let (mut tt, n_inputs) = eval_expression(expr.trim(), line_no)?;
                 if n_inputs > 4 {
                     return Err(err(
-                        format!("cell `{name}` has {n_inputs} inputs; the mapper supports at most 4"),
+                        format!(
+                            "cell `{name}` has {n_inputs} inputs; the mapper supports at most 4"
+                        ),
                         line_no,
                     ));
                 }

@@ -25,7 +25,9 @@ fn report(name: &str, g: &Aig, set: &[Lac], sigma: f64) {
     match c.class {
         LacSetClass::Positive => println!("  (the LACs mask each other's errors)"),
         LacSetClass::Independent => println!("  (Eq. (1) additivity holds)"),
-        LacSetClass::Negative => println!("  (the LACs amplify each other: the l_d guard reverts such sets)"),
+        LacSetClass::Negative => {
+            println!("  (the LACs amplify each other: the l_d guard reverts such sets)")
+        }
     }
 }
 
@@ -69,7 +71,10 @@ fn main() {
     let sim = simulate(&g, &pats);
     let cands = lac::generate_candidates(&g, &sim, &lac::CandidateConfig::default());
     // Pick two candidates with distant targets (first and last gates).
-    let first = cands.iter().find(|l| matches!(l.kind, LacKind::Wire { .. })).copied();
+    let first = cands
+        .iter()
+        .find(|l| matches!(l.kind, LacKind::Wire { .. }))
+        .copied();
     let last = cands
         .iter()
         .rev()

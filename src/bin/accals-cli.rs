@@ -141,8 +141,13 @@ fn cmd_info(args: &[String]) -> Result<(), Box<dyn Error>> {
     println!("outputs : {}", g.n_pos());
     println!("gates   : {} AND (AIG)", g.n_ands());
     println!("depth   : {} levels", g.depth()?);
-    println!("mapped  : {} cells, area {:.1}, delay {:.1} ({})",
-        m.n_gates(), m.area, m.delay, lib.name());
+    println!(
+        "mapped  : {} cells, area {:.1}, delay {:.1} ({})",
+        m.n_gates(),
+        m.area,
+        m.delay,
+        lib.name()
+    );
     for (cell, count) in m.cell_histogram() {
         println!("          {cell:>6} x{count}");
     }

@@ -108,7 +108,10 @@ fn traces_tell_a_consistent_story() {
     assert!(!result.rounds.is_empty());
     let mut prev_e = 0.0;
     for t in &result.rounds {
-        assert!(t.e_before >= prev_e - 1e-12, "accepted error never regresses");
+        assert!(
+            t.e_before >= prev_e - 1e-12,
+            "accepted error never regresses"
+        );
         assert!(t.n_indp <= t.n_sol && t.n_sol <= t.r_top);
         if !t.single_mode {
             assert!(t.n_rand <= t.n_sol);

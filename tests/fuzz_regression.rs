@@ -61,11 +61,17 @@ fn injected_store_fault_is_caught_and_shrunk() {
         shrunk.n_ops
     );
     let nodes = golden_circuit(&shrunk).n_nodes();
-    assert!(nodes <= 20, "shrunk circuit must have <= 20 nodes, got {nodes}");
+    assert!(
+        nodes <= 20,
+        "shrunk circuit must have <= 20 nodes, got {nodes}"
+    );
 
     // The repro line round-trips and still fails with the same oracle.
     let line = result.failure.repro_line();
-    assert!(line.starts_with("fuzzkit-repro-v1 "), "bad repro line: {line}");
+    assert!(
+        line.starts_with("fuzzkit-repro-v1 "),
+        "bad repro line: {line}"
+    );
     let reparsed: FuzzCase = line.parse().expect("shrunk repro line must parse");
     assert_eq!(reparsed, shrunk);
     let refail = run_case(&reparsed).expect_err("shrunk repro must still fail");
@@ -119,8 +125,14 @@ fn injected_sweep_stale_fork_is_caught_and_shrunk() {
 
     // The repro line round-trips and still fails with the same oracle.
     let line = result.failure.repro_line();
-    assert!(line.starts_with("fuzzkit-repro-v1 "), "bad repro line: {line}");
-    assert!(line.ends_with("fault=sweep-stale-fork"), "bad repro line: {line}");
+    assert!(
+        line.starts_with("fuzzkit-repro-v1 "),
+        "bad repro line: {line}"
+    );
+    assert!(
+        line.ends_with("fault=sweep-stale-fork"),
+        "bad repro line: {line}"
+    );
     let reparsed: FuzzCase = line.parse().expect("shrunk repro line must parse");
     assert_eq!(reparsed, shrunk);
     let refail = run_case(&reparsed).expect_err("shrunk repro must still fail");
@@ -144,7 +156,10 @@ fn injected_window_leak_is_caught() {
 
     // The repro line round-trips and still fails with the same oracle.
     let line = failure.repro_line();
-    assert!(line.ends_with("fault=window-leak"), "bad repro line: {line}");
+    assert!(
+        line.ends_with("fault=window-leak"),
+        "bad repro line: {line}"
+    );
     let reparsed: FuzzCase = line.parse().expect("repro line must parse");
     assert_eq!(reparsed, failure.case);
     let refail = run_case(&reparsed).expect_err("repro must still fail");

@@ -110,8 +110,8 @@ fn cached_round_matches_from_scratch_recomputation() {
     eval1.rebase(&sim1.output_sigs(&g1));
     let cands1 = generate_candidates(&g1, &sim1, &CandidateConfig::default());
 
-    let cached = BatchEstimator::with_cache(&g1, &sim1, &eval1, &mut cache, Some(&remap))
-        .score_all(&cands1);
+    let cached =
+        BatchEstimator::with_cache(&g1, &sim1, &eval1, &mut cache, Some(&remap)).score_all(&cands1);
     let stats = cache.stats();
     assert!(
         stats.carried > 0,

@@ -76,7 +76,11 @@ fn check_circuit(name: &str) {
                     r.trajectory_hash, hash,
                     "{what}: trajectory diverged from standalone"
                 );
-                assert_eq!(r.result.rounds.len(), rounds, "{what}: round count diverged");
+                assert_eq!(
+                    r.result.rounds.len(),
+                    rounds,
+                    "{what}: round count diverged"
+                );
                 assert_eq!(
                     r.result.error.to_bits(),
                     e_bits,

@@ -143,7 +143,7 @@ fn rt(applied: usize, e_after: f64, n_ands: usize) -> RoundTrace {
         candgen_strip_cmps: 0,
         candgen_pool_hits: 0,
         candgen_pool_misses: 0,
-            window_targets: 0,
+        window_targets: 0,
     }
 }
 

@@ -76,7 +76,10 @@ fn check_snapshot(g: &Aig, sim: &Sim, eval: &ErrorEval, cands: &[Lac], what: &st
     let mut store = CandidateStore::new();
     let ccfg = CandidateConfig::default();
     let stored = store.generate(g, sim, &ccfg, None, leaked_pool(2), None);
-    assert_eq!(stored, cands, "{what}: store list is not fresh generation's");
+    assert_eq!(
+        stored, cands,
+        "{what}: store list is not fresh generation's"
+    );
     let store_views = store.devs();
 
     let k = R_REF.max(64);
@@ -130,7 +133,10 @@ fn mid_flow(g: &Aig, golden: &[Vec<u64>], pats: &Patterns, kind: MetricKind) -> 
             break;
         }
     }
-    assert!(!picked.is_empty(), "no safe LACs to build a mid-flow snapshot");
+    assert!(
+        !picked.is_empty(),
+        "no safe LACs to build a mid-flow snapshot"
+    );
     let mut g1 = g.clone();
     lac::apply_all(&mut g1, &picked);
     g1.cleanup().unwrap();
@@ -155,7 +161,13 @@ fn run_circuit(name: &str) {
         let mut eval1 = ErrorEval::new(kind, &golden, pats.n_patterns());
         eval1.rebase(&sim1.output_sigs(&g1));
         let cands1 = generate_candidates(&g1, &sim1, &CandidateConfig::default());
-        check_snapshot(&g1, &sim1, &eval1, &cands1, &format!("{name}/{kind}/midflow"));
+        check_snapshot(
+            &g1,
+            &sim1,
+            &eval1,
+            &cands1,
+            &format!("{name}/{kind}/midflow"),
+        );
     }
 }
 
