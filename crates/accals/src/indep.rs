@@ -45,7 +45,7 @@ pub fn influence_index(
 ///   none when every possible distance qualifies;
 /// - `|F(l)|` is counted once per TN rather than once per pair;
 /// - every TN's transitive fanout comes from one shared sweep
-///   ([`tfo_masks`]) instead of one BFS per TN.
+///   (`tfo_masks`) instead of one BFS per TN.
 ///
 /// Memory is two node bitsets per TN instead of one `Option<u32>` per
 /// node per TN.

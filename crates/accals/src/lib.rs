@@ -60,7 +60,7 @@ use misolver::MisStrategy;
 /// becomes `O(window)` instead of `O(|circuit|)` — while error
 /// accounting stays globally exact (every candidate is still scored
 /// and measured over the full circuit and sample). See
-/// [`crate::window`] and DESIGN.md §14 for the contract.
+/// the `window` module and DESIGN.md §14 for the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowSpec {
     /// Maximum live AND targets per round window. Circuits at or below

@@ -162,14 +162,7 @@ impl<'a> TrialEval<'a> {
         // (XOR against the base output signatures, polarities applied).
         let stride = self.sim.stride();
         let base_len = self.log.base_len();
-        let tail_mask = {
-            let rem = self.sim.n_patterns() - (stride - 1) * 64;
-            if rem >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << rem) - 1
-            }
-        };
+        let tail_mask = bitsim::word_mask(self.sim.n_patterns(), stride - 1);
         self.patch.begin(self.work.n_nodes());
         for o in 0..self.work.n_pos() {
             let wl = self.work.outputs()[o].lit;

@@ -27,7 +27,7 @@
 
 use crate::WindowSpec;
 use aig::{Aig, Node, NodeId};
-use bitsim::Sim;
+use bitsim::{word_mask, Sim};
 
 /// Cross-round rotation state: which segments of the current epoch have
 /// already hosted a window. Lives in [`crate::FlowCaches`] so sweep
@@ -52,16 +52,6 @@ pub(crate) fn segment_count(aig: &Aig, spec: &WindowSpec) -> usize {
     let live = aig.live_mask();
     let n_live = aig.and_ids().filter(|id| live[id.index()]).count();
     n_live.div_ceil(spec.max_targets).max(1)
-}
-
-/// Mask for the valid bits of sample word `w`.
-fn word_mask(n_patterns: usize, w: usize) -> u64 {
-    let used = n_patterns - w * 64;
-    if used >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << used) - 1
-    }
 }
 
 /// Per-node error-budget headroom weight in `(0, 1]`: `1 / (1 + d)`

@@ -55,6 +55,19 @@ pub use sim::{simulate, simulate_into, Sim};
 /// ```
 pub use aig::dispatched;
 
+/// The valid-pattern mask of word `w` in an `n_patterns` sample: all
+/// ones for a full word, the low `n_patterns % 64` bits for a partial
+/// tail word, and 0 past the end of the sample.
+#[inline]
+pub fn word_mask(n_patterns: usize, w: usize) -> u64 {
+    let rem = n_patterns.saturating_sub(w * 64);
+    if rem >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << rem) - 1
+    }
+}
+
 dispatched! {
     /// Counts the set bits in a signature slice, masking the tail word.
     ///
@@ -85,6 +98,18 @@ mod tests {
         assert_eq!(popcount(&sig, 70), 70);
         assert_eq!(popcount(&sig, 64), 64);
         assert_eq!(popcount(&sig, 3), 3);
+    }
+
+    #[test]
+    fn word_mask_covers_full_tail_and_past_end_words() {
+        assert_eq!(word_mask(128, 1), u64::MAX);
+        assert_eq!(word_mask(130, 1), u64::MAX);
+        assert_eq!(word_mask(130, 2), 0b11);
+        assert_eq!(word_mask(127, 1), u64::MAX >> 1);
+        assert_eq!(word_mask(65, 1), 1);
+        assert_eq!(word_mask(128, 2), 0);
+        assert_eq!(word_mask(3, 5), 0);
+        assert_eq!(word_mask(0, 0), 0);
     }
 
     #[test]

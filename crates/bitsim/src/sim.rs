@@ -1,4 +1,5 @@
 use crate::patterns::Patterns;
+use crate::word_mask;
 use aig::{Aig, Node, NodeId};
 use std::sync::Arc;
 
@@ -88,22 +89,12 @@ impl Sim {
                 aig.n_nodes()
             ));
         }
-        let mask = |w: usize| {
-            let rem = self.n_patterns.saturating_sub(w * 64);
-            if rem >= 64 {
-                u64::MAX
-            } else if rem == 0 {
-                0
-            } else {
-                (1u64 << rem) - 1
-            }
-        };
         for id in aig.node_ids() {
             match *aig.node(id) {
                 Node::Input(_) => {}
                 Node::Const0 => {
                     for (w, &v) in self.sig(id).iter().enumerate() {
-                        if v & mask(w) != 0 {
+                        if v & word_mask(self.n_patterns, w) != 0 {
                             return Err(format!("Const0 signature nonzero in word {w}"));
                         }
                     }
@@ -114,7 +105,7 @@ impl Sim {
                     for w in 0..self.stride {
                         let wa = sa[w] ^ if a.is_neg() { u64::MAX } else { 0 };
                         let wb = sb[w] ^ if b.is_neg() { u64::MAX } else { 0 };
-                        if (s[w] ^ (wa & wb)) & mask(w) != 0 {
+                        if (s[w] ^ (wa & wb)) & word_mask(self.n_patterns, w) != 0 {
                             return Err(format!(
                                 "node {id:?} signature disagrees with {a} & {b} in word {w}"
                             ));

@@ -1,5 +1,5 @@
 use crate::kinds::MetricKind;
-use bitsim::dispatched;
+use bitsim::{dispatched, word_mask};
 
 /// Patterns per reduction chunk. The per-pattern reductions (value
 /// decoding, contribution sums) are computed chunk by chunk and folded
@@ -21,10 +21,9 @@ const STRIP: usize = 8;
 /// single pattern's error distance can already exceed `2^53`.
 const WORD_KERNEL_MAX_OUTPUTS: usize = 53;
 
-/// Outcome of a bounded scoring call ([`ErrorEval::masked_rows_bounded`]
-/// / [`ErrorEval::masked_words_bounded`]): either the exact new error,
-/// or proof that the candidate's error increase exceeds the caller's
-/// threshold.
+/// Outcome of a bounded scoring call ([`ErrorEval::masked_rows_bounded`]):
+/// either the exact new error, or proof that the candidate's error
+/// increase exceeds the caller's threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoundedScore {
     /// The exact new error, bit-identical to the unbounded evaluation.
@@ -53,12 +52,21 @@ fn inflate(x: f64) -> f64 {
 ///
 /// The evaluator is anchored to the golden output signatures. Calling
 /// [`ErrorEval::rebase`] sets the current approximate circuit's output
-/// signatures; [`ErrorEval::current`] returns its error, and
-/// [`ErrorEval::with_flips`] returns the error the circuit *would* have if
-/// the given per-output flip masks were applied on top — without mutating
-/// the evaluator. For the arithmetic metrics the cost of `with_flips` is
-/// proportional to the number of flipped patterns, which is what makes
-/// scoring thousands of candidate changes per round cheap.
+/// signatures and [`ErrorEval::current`] returns its error. The scoring
+/// methods return the error the circuit *would* have under a change,
+/// without mutating the evaluator, in time proportional to the patterns
+/// the change flips — which is what makes scoring thousands of candidate
+/// changes per round cheap:
+///
+/// - a candidate LAC comes as its sparse deviation `(words, bits)` (the
+///   shape `lac::DevMask` stores) plus its node's transfer-mask rows:
+///   [`ErrorEval::with_masked_rows`] scores it exactly,
+///   [`ErrorEval::masked_rows_bounded`] scores it under a pruning
+///   threshold and picks the kernel itself, and
+///   [`ErrorEval::er_with_deviation`] is ER's factored form;
+/// - a trial edit comes as per-output flip rows:
+///   [`ErrorEval::measured_with_flips_words`] returns exactly what a
+///   rebase on the flipped signatures would measure.
 #[derive(Debug, Clone)]
 pub struct ErrorEval {
     kind: MetricKind,
@@ -85,8 +93,8 @@ pub struct ErrorEval {
     /// how much error the not-yet-replayed words could still remove —
     /// the heart of [`ErrorEval::masked_rows_bounded`].
     word_base: Vec<f64>,
-    /// Whether [`ErrorEval::masked_words_bounded`] may score this
-    /// evaluator (see [`ErrorEval::word_kernel_eligible`]).
+    /// Whether [`ErrorEval::masked_rows_bounded`] runs the integer word
+    /// kernel on this evaluator (see [`ErrorEval::word_kernel_eligible`]).
     word_kernel: bool,
     /// Word-major bit planes for the integer word kernel (eligible
     /// evaluators only, else empty): word `w` owns `3 * n_outputs`
@@ -192,8 +200,8 @@ impl ErrorEval {
         self.stride
     }
 
-    /// Whether [`ErrorEval::masked_words_bounded`] can score this
-    /// evaluator: the metric is MED or NMED and
+    /// Whether [`ErrorEval::masked_rows_bounded`] scores this evaluator
+    /// on the integer word kernel: the metric is MED or NMED and
     /// `n_patterns * (2^n_outputs - 1) <= 2^53`.
     ///
     /// Every per-pattern contribution is then an integer of at most
@@ -206,26 +214,14 @@ impl ErrorEval {
         self.word_kernel
     }
 
-    /// The per-chunk partial sums of the canonical contribution fold
-    /// behind [`ErrorEval::current`] (arithmetic metrics; empty for ER).
-    /// Chunk `c` covers patterns `c * PAT_CHUNK ..`; the serial fold of
-    /// these partials in chunk order is exactly `cur_sum`.
-    pub fn chunk_sums(&self) -> &[f64] {
-        &self.chunk_sums
-    }
-
     /// Fills `out` with inflated suffix sums of the per-word baseline
-    /// contributions over `words`: `out[j]` dominates the exact real sum
-    /// of every baseline contribution in `words[j..]`, and `out[words.len()]`
-    /// is `0`. Input words must ascend. Mean arithmetic metrics only —
-    /// other kinds leave `out` all zero (they carry no contribution
-    /// sums).
-    pub fn word_base_suffix(&self, words: &[u32], out: &mut Vec<f64>) {
+    /// contributions over `words` (mean arithmetic metrics only, the
+    /// kinds that keep `word_base`): `out[j]` dominates the exact real
+    /// sum of every baseline contribution in `words[j..]`, and
+    /// `out[words.len()]` is `0`. Input words must ascend.
+    fn word_base_suffix(&self, words: &[u32], out: &mut Vec<f64>) {
         out.clear();
         out.resize(words.len() + 1, 0.0);
-        if self.word_base.is_empty() {
-            return;
-        }
         for j in (0..words.len()).rev() {
             out[j] = inflate(out[j + 1] + self.word_base[words[j] as usize]);
         }
@@ -340,7 +336,7 @@ impl ErrorEval {
     }
 
     /// Recomputes the ER per-word popcounts of the union diff (the words
-    /// a sparse [`ErrorEval::with_flips_words`] call leaves untouched).
+    /// a sparse ER rescoring leaves untouched).
     fn refresh_er_pops(&mut self) {
         if self.kind != MetricKind::Er {
             return;
@@ -396,70 +392,26 @@ impl ErrorEval {
     }
 
     /// The error the circuit would have if the per-output `flips` masks
-    /// were XORed into the current output signatures.
+    /// were XORed into the current output signatures, **bit-identical to
+    /// a fresh rebase**: the returned value equals, bit for bit, what
+    /// [`ErrorEval::current`] would report after `rebase` on the flipped
+    /// signatures. Only the listed words are rescored. ER counts the
+    /// changed union-diff popcounts (integers, order-free) and WCE
+    /// rescans the flipped patterns (an order-free max); the mean
+    /// metrics replay the canonical chunked fold — chunks without
+    /// flipped patterns reuse their stored partial sum, touched chunks
+    /// re-accumulate per pattern in the same serial order. Cost stays
+    /// proportional to the flipped region.
     ///
-    /// `flips[o]` must have at least `stride` words. Cost: `O(outputs ×
-    /// stride)` for ER, `O(outputs × stride + changed_patterns × outputs)`
-    /// for the mean arithmetic metrics, and `O(n_patterns)` for WCE.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flips` has the wrong shape.
-    pub fn with_flips(&self, flips: &[Vec<u64>]) -> f64 {
-        assert_eq!(flips.len(), self.n_outputs, "output count mismatch");
-        match self.kind {
-            MetricKind::Er => {
-                let mut count = 0usize;
-                for w in 0..self.stride {
-                    let mut acc = 0u64;
-                    for (d, f) in self.diff.iter().zip(flips) {
-                        acc |= d[w] ^ f[w];
-                    }
-                    count += (acc & self.word_mask(w)).count_ones() as usize;
-                }
-                count as f64 / self.n_patterns as f64
-            }
-            MetricKind::Wce => {
-                let mut tog = Toggles::new();
-                let mut max = 0.0f64;
-                for w in 0..self.stride {
-                    let union = self.flip_union(flips, w);
-                    tog.decode(union, flip_rows(flips, w));
-                    for b in 0..(self.n_patterns - w * 64).min(64) {
-                        let p = w * 64 + b;
-                        let val = self.cur_vals[p] ^ tog.take(b);
-                        max = max.max(self.pattern_contrib(val, self.golden_vals[p]));
-                    }
-                }
-                self.finalize(0.0, max)
-            }
-            _ => {
-                let mut tog = Toggles::new();
-                let mut sum = self.cur_sum;
-                for w in 0..self.stride {
-                    let union = self.flip_union(flips, w);
-                    tog.decode(union, flip_rows(flips, w));
-                    self.each_flipped(w, union, &mut tog, |p, c| sum += c - self.contrib[p]);
-                }
-                self.finalize(sum, 0.0)
-            }
-        }
-    }
-
-    /// Like [`ErrorEval::with_flips`], but `flips` is known to be zero
-    /// outside the given ascending word list — the caller passes the
-    /// words where the candidate's deviation mask is non-zero, and only
-    /// those words are rescored. Returns a bit-identical result to the
-    /// dense call: integer popcounts are order-free, and the arithmetic
-    /// metrics visit the same flipped patterns in the same ascending
-    /// order as the dense loop.
+    /// This is the measurement contract of the incremental trial
+    /// evaluator: a trial's error must equal the committed circuit's
+    /// measured error exactly, not just approximately.
     ///
     /// # Panics
     ///
-    /// Panics if `flips` has the wrong shape. Words outside the list
-    /// holding non-zero flips produce an unspecified (not undefined)
-    /// result.
-    pub fn with_flips_words(&self, words: &[u32], flips: &[Vec<u64>]) -> f64 {
+    /// Panics if `flips` has the wrong shape. `words` must list, in
+    /// ascending order, every word where some flip row is non-zero.
+    pub fn measured_with_flips_words(&self, words: &[u32], flips: &[Vec<u64>]) -> f64 {
         assert_eq!(flips.len(), self.n_outputs, "output count mismatch");
         debug_assert!(words.windows(2).all(|p| p[0] < p[1]), "words must ascend");
         match self.kind {
@@ -477,8 +429,6 @@ impl ErrorEval {
                 count as f64 / self.n_patterns as f64
             }
             MetricKind::Wce => {
-                // Rescore the flipped patterns; the unflipped maximum is
-                // `cur_max` unless a flipped pattern carried it.
                 let mut tog = Toggles::new();
                 let mut wce = WceRescore::default();
                 for &w in words {
@@ -490,44 +440,6 @@ impl ErrorEval {
                 wce.finish(self)
             }
             _ => {
-                let mut tog = Toggles::new();
-                let mut sum = self.cur_sum;
-                for &w in words {
-                    let w = w as usize;
-                    let union = self.flip_union(flips, w);
-                    tog.decode(union, flip_rows(flips, w));
-                    self.each_flipped(w, union, &mut tog, |p, c| sum += c - self.contrib[p]);
-                }
-                self.finalize(sum, 0.0)
-            }
-        }
-    }
-
-    /// Like [`ErrorEval::with_flips_words`], but **bit-identical to a
-    /// fresh rebase**: the returned value equals, bit for bit, what
-    /// [`ErrorEval::current`] would report after `rebase` on the flipped
-    /// signatures. `with_flips_words` is exact for ER (integer
-    /// popcounts) and WCE (order-free max) but scores the mean metrics
-    /// as `cur_sum + Σ deltas`, whose rounding differs from the
-    /// canonical chunked fold; this method instead replays the fold —
-    /// chunks without flipped patterns reuse their stored partial sum,
-    /// touched chunks re-accumulate per pattern in the same serial
-    /// order. Cost stays proportional to the flipped region.
-    ///
-    /// This is the measurement contract of the incremental trial
-    /// evaluator: a trial's error must equal the committed circuit's
-    /// measured error exactly, not just approximately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flips` has the wrong shape. `words` must list, in
-    /// ascending order, every word where some flip row is non-zero.
-    pub fn measured_with_flips_words(&self, words: &[u32], flips: &[Vec<u64>]) -> f64 {
-        match self.kind {
-            MetricKind::Er | MetricKind::Wce => self.with_flips_words(words, flips),
-            _ => {
-                assert_eq!(flips.len(), self.n_outputs, "output count mismatch");
-                debug_assert!(words.windows(2).all(|p| p[0] < p[1]), "words must ascend");
                 // PAT_CHUNK is a multiple of 64, so chunk boundaries
                 // align with word boundaries.
                 let words_per_chunk = PAT_CHUNK / 64;
@@ -610,46 +522,23 @@ impl ErrorEval {
         }
     }
 
-    /// ER only: the error rate if the candidate's deviation mask `dev`
-    /// were applied through the transfer masks baked into `e1` (from
-    /// [`ErrorEval::er_conditional_union`]). `words` lists the words
-    /// where `dev` is non-zero, ascending. Bit-identical to the
-    /// equivalent [`ErrorEval::with_flips`] call: per pattern the union
-    /// diff is selected between the current one and `e1`, and the
-    /// popcount accumulation visits the same words in the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a non-ER evaluator.
-    pub fn er_with_deviation(&self, words: &[u32], dev: &[u64], e1: &[u64]) -> f64 {
-        assert_eq!(self.kind, MetricKind::Er, "ER-only scoring");
-        debug_assert!(words.windows(2).all(|p| p[0] < p[1]), "words must ascend");
-        let delta = er_dense_delta(
-            &self.er_words,
-            &self.er_word_pops,
-            e1,
-            words,
-            dev,
-            self.n_patterns,
-        );
-        (self.er_total as i64 + delta) as f64 / self.n_patterns as f64
-    }
-
-    /// [`ErrorEval::er_with_deviation`] taking the deviation values
+    /// ER only: the error rate if the candidate's deviation were applied
+    /// through the transfer masks baked into `e1` (from
+    /// [`ErrorEval::er_conditional_union`]). The deviation comes
     /// sparsely — `bits[j]` is the deviation word at `words[j]`, the
-    /// exact shape `lac::DevMask` stores — so a cached sparse mask is
-    /// scored without scattering it into a dense stride-long buffer
-    /// first. Bit-identical to the dense call: same words, same fold
-    /// order, same two rounded ops at the end.
+    /// shape `lac::DevMask` stores. Bit-identical to the equivalent
+    /// [`ErrorEval::with_masked_rows`] call: per pattern the union diff
+    /// is selected between the current one and `e1`, and the popcount
+    /// accumulation visits the same words in the same order.
     ///
     /// # Panics
     ///
     /// Panics if called on a non-ER evaluator or with misaligned bits.
-    pub fn er_with_deviation_sparse(&self, words: &[u32], bits: &[u64], e1: &[u64]) -> f64 {
+    pub fn er_with_deviation(&self, words: &[u32], bits: &[u64], e1: &[u64]) -> f64 {
         assert_eq!(self.kind, MetricKind::Er, "ER-only scoring");
         assert_eq!(bits.len(), words.len(), "one deviation word per index");
         debug_assert!(words.windows(2).all(|p| p[0] < p[1]), "words must ascend");
-        let delta = er_sparse_delta(
+        let delta = er_delta(
             &self.er_words,
             &self.er_word_pops,
             e1,
@@ -660,36 +549,38 @@ impl ErrorEval {
         (self.er_total as i64 + delta) as f64 / self.n_patterns as f64
     }
 
-    /// Fused equivalent of materializing per-output flip rows
-    /// `flips[o] = dev & row_o` (outputs in `outs`, zero elsewhere) and
-    /// calling [`ErrorEval::with_flips_words`]: the flip bits are
-    /// decoded inline from `dev & row`, so no `n_outputs × stride`
-    /// scratch is ever written or re-zeroed. `rows[k * stride..][..stride]`
-    /// is the transfer-mask row of output `outs[k]`; `outs` ascends,
-    /// `words` lists the words where `dev` is non-zero, ascending.
+    /// The error the circuit would have if the candidate's deviation
+    /// flipped output `outs[k]` on `dev & row_k`, with the deviation
+    /// given sparsely: `bits[j]` is the deviation word at `words[j]`
+    /// (ascending, the shape `lac::DevMask` stores) and
+    /// `rows[k * stride..][..stride]` is the transfer-mask row of output
+    /// `outs[k]` (`outs` ascends). The flip bits are decoded inline from
+    /// `dev & row`, so no `n_outputs × stride` flip rows are ever
+    /// written or re-zeroed.
     ///
-    /// Bit-identical to the materialized call for every metric kind:
-    /// the flip unions, per-pattern toggles, and the order of every
-    /// rounded accumulation are the same.
+    /// Bit-identical to XORing the flips into the current signatures and
+    /// folding `cur_sum + Σ (new - old)` over the flipped patterns in
+    /// ascending order (ER and WCE: exactly what a rebase measures).
     ///
     /// # Panics
     ///
     /// Panics if `rows` does not hold one stride-long row per listed
-    /// output.
-    pub fn with_masked_rows(&self, words: &[u32], dev: &[u64], outs: &[u32], rows: &[u64]) -> f64 {
+    /// output, or `bits` is not aligned with `words`.
+    pub fn with_masked_rows(&self, words: &[u32], bits: &[u64], outs: &[u32], rows: &[u64]) -> f64 {
         assert_eq!(rows.len(), outs.len() * self.stride, "mask row shape");
+        assert_eq!(bits.len(), words.len(), "one deviation word per index");
         debug_assert!(words.windows(2).all(|p| p[0] < p[1]), "words must ascend");
         match self.kind {
             MetricKind::Er => {
                 let mut count = self.er_total as i64;
-                for &w in words {
+                for (&w, &dev) in words.iter().zip(bits) {
                     let w = w as usize;
                     let mut acc = 0u64;
                     let mut k = 0usize;
                     for (o, d) in self.diff.iter().enumerate() {
                         let mut f = 0u64;
                         if k < outs.len() && outs[k] as usize == o {
-                            f = dev[w] & rows[k * self.stride + w];
+                            f = dev & rows[k * self.stride + w];
                             k += 1;
                         }
                         acc |= d[w] ^ f;
@@ -703,8 +594,8 @@ impl ErrorEval {
                 let mut tog = Toggles::new();
                 let mut wce = WceRescore::default();
                 let mut unions = [0u64; STRIP];
-                for strip in words.chunks(STRIP) {
-                    self.masked_unions(strip, dev, outs.len(), rows, &mut unions);
+                for (strip, devs) in words.chunks(STRIP).zip(bits.chunks(STRIP)) {
+                    self.masked_unions(strip, devs, outs.len(), rows, &mut unions);
                     for (&w, &union) in strip.iter().zip(&unions) {
                         let w = w as usize;
                         tog.decode(union, self.mask_rows(outs, rows, w));
@@ -717,8 +608,8 @@ impl ErrorEval {
                 let mut tog = Toggles::new();
                 let mut sum = self.cur_sum;
                 let mut unions = [0u64; STRIP];
-                for strip in words.chunks(STRIP) {
-                    self.masked_unions(strip, dev, outs.len(), rows, &mut unions);
+                for (strip, devs) in words.chunks(STRIP).zip(bits.chunks(STRIP)) {
+                    self.masked_unions(strip, devs, outs.len(), rows, &mut unions);
                     for (&w, &union) in strip.iter().zip(&unions) {
                         let w = w as usize;
                         tog.decode(union, self.mask_rows(outs, rows, w));
@@ -730,60 +621,98 @@ impl ErrorEval {
         }
     }
 
-    /// The mean-metric arm of [`ErrorEval::with_masked_rows`] with a
-    /// sound monotone lower bound checked before every word and once
-    /// more (exactly) at the end.
+    /// [`ErrorEval::with_masked_rows`] for a caller that only wants the
+    /// candidate if its `ΔE = new - current` can still pass `prune`:
+    /// the fold stops at the first lower bound `prune` accepts. The
+    /// kernel is chosen here, from the evaluator alone:
     ///
-    /// After `j` of `m` deviating words, the running sum `S` is the
-    /// exact rounded prefix of the final fold. Every remaining
-    /// per-pattern delta `fl(new - old)` is `>= -old` (contributions are
-    /// nonnegative and `old` is exactly representable), rounded addition
-    /// is monotone in each argument, and adding further nonpositive
-    /// terms only lowers a fold — so the final sum is at least the fold
-    /// of `-old_p` over *all* patterns of the remaining words onto `S`.
-    /// `base_suffix[j]` (from [`ErrorEval::word_base_suffix`]) dominates
-    /// that remaining baseline mass `T`, and the classical summation
-    /// error of a `64 * (m - j) + 1`-term fold is below
-    /// `gamma_n * (|S| + T)`; the margin term over-covers that gamma,
-    /// the inflation slack, and the rounding of the bound expression
-    /// itself by a factor of at least 3. Hence
-    /// `finalize(S - base_suffix[j] - margin) - current <= ΔE` always —
-    /// the pruning decision is sound no matter what threshold `prune`
-    /// compares against.
+    /// - MED and NMED where [`ErrorEval::word_kernel_eligible`] holds run
+    ///   the integer word kernel: per deviating word the flip set is
+    ///   `f = dev & OR(rows) & word_mask`, bit-sliced `|new - golden|`
+    ///   planes give the word's exact integer delta
+    ///   `Σ_o 2^o (popcnt(absnew_o & f) - popcnt(abscur_o & f))`, and
+    ///   since every running sum is then an integer of at most `2^53`
+    ///   it equals the per-pattern fold's bit for bit — so the bound
+    ///   checks see the same values and the result is the same,
+    ///   `Exact` and `Pruned` alike;
+    /// - the other mean metrics (MRED, MSE, MED/NMED past the limit)
+    ///   run the per-pattern fold of `with_masked_rows`;
+    /// - ER and WCE run the exact fold and never consult `prune`.
+    ///
+    /// The mean folds check a sound monotone lower bound before every
+    /// word and once more (exactly) at the end. After `j` of `m`
+    /// deviating words, the running sum `S` is the exact rounded prefix
+    /// of the final fold. Every remaining per-pattern delta
+    /// `fl(new - old)` is `>= -old` (contributions are nonnegative and
+    /// `old` is exactly representable), rounded addition is monotone in
+    /// each argument, and adding further nonpositive terms only lowers a
+    /// fold — so the final sum is at least the fold of `-old_p` over
+    /// *all* patterns of the remaining words onto `S`. `suffix[j]`
+    /// (filled here from the per-word baseline sums) dominates that
+    /// remaining baseline mass `T`, and the classical summation error of
+    /// a `64 * (m - j) + 1`-term fold is below `gamma_n * (|S| + T)`;
+    /// the margin term over-covers that gamma, the inflation slack, and
+    /// the rounding of the bound expression itself by a factor of at
+    /// least 3. Hence `finalize(S - suffix[j] - margin) - current <= ΔE`
+    /// always — the pruning decision is sound no matter what threshold
+    /// `prune` compares against.
     ///
     /// `prune` is called with each lower bound and finally with the
     /// exact `ΔE`; the first `true` abandons the candidate. If it never
     /// returns `true`, the result is bit-identical to
     /// `with_masked_rows` (the bound computation never touches the
-    /// running sum).
+    /// running sum). `suffix` is caller-owned scratch.
     ///
     /// # Panics
     ///
-    /// Panics unless the evaluator is a mean arithmetic metric (MED,
-    /// NMED, MRED, MSE) and the shapes match.
+    /// Panics if the shapes mismatch, as [`ErrorEval::with_masked_rows`].
     #[allow(clippy::too_many_arguments)]
     pub fn masked_rows_bounded(
         &self,
         words: &[u32],
-        dev: &[u64],
+        bits: &[u64],
         outs: &[u32],
         rows: &[u64],
-        base_suffix: &[f64],
+        suffix: &mut Vec<f64>,
+        current: f64,
+        prune: impl FnMut(f64) -> bool,
+    ) -> BoundedScore {
+        if !is_mean(self.kind) {
+            return BoundedScore::Exact(self.with_masked_rows(words, bits, outs, rows));
+        }
+        assert_eq!(rows.len(), outs.len() * self.stride, "mask row shape");
+        assert_eq!(bits.len(), words.len(), "one deviation word per index");
+        self.word_base_suffix(words, suffix);
+        if self.word_kernel {
+            self.word_kernel_bounded(words, bits, outs, rows, suffix, current, prune)
+        } else {
+            self.pattern_fold_bounded(words, bits, outs, rows, suffix, current, prune)
+        }
+    }
+
+    /// The per-pattern fold of [`ErrorEval::masked_rows_bounded`]: the
+    /// mean arm of [`ErrorEval::with_masked_rows`] with the lower bound
+    /// checked before every word.
+    #[allow(clippy::too_many_arguments)]
+    fn pattern_fold_bounded(
+        &self,
+        words: &[u32],
+        bits: &[u64],
+        outs: &[u32],
+        rows: &[u64],
+        suffix: &[f64],
         current: f64,
         mut prune: impl FnMut(f64) -> bool,
     ) -> BoundedScore {
-        assert!(is_mean(self.kind), "bounded replay is mean-metric only");
-        assert_eq!(rows.len(), outs.len() * self.stride, "mask row shape");
-        assert_eq!(base_suffix.len(), words.len() + 1, "one suffix per word");
         let m = words.len();
         let mut tog = Toggles::new();
         let mut sum = self.cur_sum;
         let mut unions = [0u64; STRIP];
-        for (s, strip) in words.chunks(STRIP).enumerate() {
-            self.masked_unions(strip, dev, outs.len(), rows, &mut unions);
+        for (s, (strip, devs)) in words.chunks(STRIP).zip(bits.chunks(STRIP)).enumerate() {
+            self.masked_unions(strip, devs, outs.len(), rows, &mut unions);
             for (i, &w) in strip.iter().enumerate() {
                 let j = s * STRIP + i; // words folded so far
-                let lb_delta = self.lower_bound(sum, base_suffix[j], m - j, current);
+                let lb_delta = self.lower_bound(sum, suffix[j], m - j, current);
                 if prune(lb_delta) {
                     return BoundedScore::Pruned { lb_delta };
                 }
@@ -822,49 +751,25 @@ impl ErrorEval {
         BoundedScore::Exact(e)
     }
 
-    /// [`ErrorEval::masked_rows_bounded`] on the integer word kernel,
-    /// for evaluators where [`ErrorEval::word_kernel_eligible`] holds.
-    /// The deviation mask comes sparsely — `bits[j]` is the deviation
-    /// word at `words[j]`, the shape `lac::DevMask` stores.
-    ///
-    /// Per deviating word `w` the flip set is
-    /// `f = dev & OR(rows) & word_mask`; the new output planes are
-    /// `cur_o ^ (row_o & f)`, a bit-sliced borrow chain and conditional
-    /// negate turn them into `|new - golden|` planes, and the word's
-    /// exact delta is
-    /// `Σ_o 2^o (popcnt(absnew_o & f) - popcnt(abscur_o & f))`. Under
-    /// eligibility every running sum is an integer of at most `2^53`,
-    /// so the sum before each word equals the per-pattern fold's bit
-    /// for bit; the bound checks see the same values and the call
-    /// returns exactly what `masked_rows_bounded` returns, `Exact` and
-    /// `Pruned` alike.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the evaluator is not eligible or the shapes mismatch.
+    /// The integer word kernel of [`ErrorEval::masked_rows_bounded`]
+    /// (eligible evaluators only; see there for why it is exact).
     #[allow(clippy::too_many_arguments)]
-    pub fn masked_words_bounded(
+    fn word_kernel_bounded(
         &self,
         words: &[u32],
         bits: &[u64],
         outs: &[u32],
         rows: &[u64],
-        base_suffix: &[f64],
+        suffix: &[f64],
         current: f64,
         mut prune: impl FnMut(f64) -> bool,
     ) -> BoundedScore {
-        assert!(
-            self.word_kernel,
-            "integer word scoring needs an eligible evaluator"
-        );
-        assert_eq!(rows.len(), outs.len() * self.stride, "mask row shape");
-        assert_eq!(bits.len(), words.len(), "one deviation word per index");
-        assert_eq!(base_suffix.len(), words.len() + 1, "one suffix per word");
+        debug_assert!(self.word_kernel, "evaluator not word-kernel eligible");
         let m = words.len();
         let planes_per_word = 3 * self.n_outputs;
         let mut sum = self.cur_sum;
         for (j, (&w, &d)) in words.iter().zip(bits).enumerate() {
-            let lb_delta = self.lower_bound(sum, base_suffix[j], m - j, current);
+            let lb_delta = self.lower_bound(sum, suffix[j], m - j, current);
             if prune(lb_delta) {
                 return BoundedScore::Pruned { lb_delta };
             }
@@ -883,14 +788,14 @@ impl ErrorEval {
     }
 
     /// The flip unions of up to [`STRIP`] deviating words: per strip
-    /// word, `dev & (OR over listed rows) & word_mask`. Looping rows on
+    /// word `strip[i]`, `devs[i] & (OR over listed rows) & word_mask`. Looping rows on
     /// the outside over a fixed-width buffer keeps the inner loop a
     /// straight-line OR that autovectorizes.
     #[inline]
     fn masked_unions(
         &self,
         strip: &[u32],
-        dev: &[u64],
+        devs: &[u64],
         n_rows: usize,
         rows: &[u64],
         buf: &mut [u64; STRIP],
@@ -902,8 +807,8 @@ impl ErrorEval {
                 *slot |= row[w as usize];
             }
         }
-        for (slot, &w) in buf.iter_mut().zip(strip) {
-            *slot &= dev[w as usize] & self.word_mask(w as usize);
+        for (slot, (&w, &d)) in buf.iter_mut().zip(strip.iter().zip(devs)) {
+            *slot &= d & self.word_mask(w as usize);
         }
     }
 
@@ -960,17 +865,6 @@ impl ErrorEval {
     #[inline]
     fn word_mask(&self, w: usize) -> u64 {
         word_mask(self.n_patterns, w)
-    }
-}
-
-/// The valid-pattern mask of word `w` in an `n_patterns` sample.
-#[inline(always)]
-fn word_mask(n_patterns: usize, w: usize) -> u64 {
-    let rem = n_patterns - w * 64;
-    if rem >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << rem) - 1
     }
 }
 
@@ -1038,50 +932,11 @@ fn word_delta_scalar(
     delta
 }
 
-/// One ER word under deviation `d`: the union diff is selected between
-/// the current one (`er_words`) and the all-deviating one (`e1`), and
-/// its valid popcount replaces the baseline popcount.
-#[inline(always)]
-fn er_word_delta(er_words: &[u64], pops: &[u32], e1: &[u64], w: usize, d: u64, n: usize) -> i64 {
-    let acc = (er_words[w] & !d) | (e1[w] & d);
-    (acc & word_mask(n, w)).count_ones() as i64 - pops[w] as i64
-}
-
 dispatched! {
-    /// The ER error-count change of a dense deviation mask `dev` over
-    /// its deviating `words` (see `ErrorEval::er_with_deviation`).
-    fn er_dense_delta = er_dense_delta_scalar(
-        er_words: &[u64],
-        pops: &[u32],
-        e1: &[u64],
-        words: &[u32],
-        dev: &[u64],
-        n_patterns: usize,
-    ) -> i64;
-}
-
-/// Scalar body of [`er_dense_delta`].
-#[inline(always)]
-fn er_dense_delta_scalar(
-    er_words: &[u64],
-    pops: &[u32],
-    e1: &[u64],
-    words: &[u32],
-    dev: &[u64],
-    n_patterns: usize,
-) -> i64 {
-    let mut delta = 0i64;
-    for &w in words {
-        let w = w as usize;
-        delta += er_word_delta(er_words, pops, e1, w, dev[w], n_patterns);
-    }
-    delta
-}
-
-dispatched! {
-    /// [`er_dense_delta`] with the deviation words given sparsely:
-    /// `bits[j]` is the deviation word at `words[j]`.
-    fn er_sparse_delta = er_sparse_delta_scalar(
+    /// The ER error-count change of a sparse deviation (`bits[j]` is
+    /// the deviation word at `words[j]`; see
+    /// `ErrorEval::er_with_deviation`).
+    fn er_delta = er_delta_scalar(
         er_words: &[u64],
         pops: &[u32],
         e1: &[u64],
@@ -1091,9 +946,12 @@ dispatched! {
     ) -> i64;
 }
 
-/// Scalar body of [`er_sparse_delta`].
+/// Scalar body of [`er_delta`]: per word under deviation `d` the union
+/// diff is selected between the current one (`er_words`) and the
+/// all-deviating one (`e1`), and its valid popcount replaces the
+/// baseline popcount.
 #[inline(always)]
-fn er_sparse_delta_scalar(
+fn er_delta_scalar(
     er_words: &[u64],
     pops: &[u32],
     e1: &[u64],
@@ -1103,7 +961,9 @@ fn er_sparse_delta_scalar(
 ) -> i64 {
     let mut delta = 0i64;
     for (&w, &d) in words.iter().zip(bits) {
-        delta += er_word_delta(er_words, pops, e1, w as usize, d, n_patterns);
+        let w = w as usize;
+        let acc = (er_words[w] & !d) | (e1[w] & d);
+        delta += (acc & word_mask(n_patterns, w)).count_ones() as i64 - pops[w] as i64;
     }
     delta
 }
@@ -1324,7 +1184,8 @@ mod tests {
         for kind in MetricKind::ALL {
             let mut e = ErrorEval::new(kind, &g, 4);
             e.rebase(&approx);
-            let predicted = e.with_flips(&flips);
+            // Word 0 is every word of the one-word signatures.
+            let predicted = e.measured_with_flips_words(&[0], &flips);
             let flipped: Vec<Vec<u64>> = approx
                 .iter()
                 .zip(&flips)
@@ -1423,7 +1284,7 @@ mod tests {
         golden: Vec<Vec<u64>>,
         approx: Vec<Vec<u64>>,
         words: Vec<u32>,
-        dev: Vec<u64>,
+        bits: Vec<u64>,
         outs: Vec<u32>,
         rows: Vec<u64>,
         flips: Vec<Vec<u64>>,
@@ -1472,8 +1333,8 @@ mod tests {
         MaskedCase {
             golden,
             approx,
+            bits: words.iter().map(|&w| dev[w as usize]).collect(),
             words,
-            dev,
             outs,
             rows,
             flips,
@@ -1484,13 +1345,14 @@ mod tests {
     #[test]
     fn masked_rows_match_materialized_flips_bitwise() {
         // The fused dev & row decode must equal materializing the flip
-        // rows and calling with_flips_words, bit for bit, on every
-        // metric kind — including multi-chunk samples with ragged tails
-        // and strides that exercise the strip batching. Output counts
-        // above 64 toggle bits past 63 and reach |Δ| >= 2^64, where the
-        // narrow conversion falls back to the u128 cast; the mean
-        // metrics are also replayed against a bit-by-bit toggle decode
-        // and plain u128 casts.
+        // rows, bit for bit, on every metric kind — including multi-chunk
+        // samples with ragged tails and strides that exercise the strip
+        // batching. ER and WCE are order-free, so they must equal the
+        // rebase-exact replay of the flip rows; the mean metrics are
+        // replayed against a bit-by-bit toggle decode and plain u128
+        // casts. Output counts above 64 toggle bits past 63 and reach
+        // |Δ| >= 2^64, where the narrow conversion falls back to the
+        // u128 cast.
         let mut wide_deltas = 0usize;
         for n_outputs in [5usize, 64, 65, 128] {
             for (seed, n_patterns) in [(1u64, 130), (2, 4096 + 77), (3, 10_000), (4, 64)] {
@@ -1498,11 +1360,11 @@ mod tests {
                 for kind in MetricKind::ALL {
                     let mut e = ErrorEval::new(kind, &c.golden, c.n_patterns);
                     e.rebase(&c.approx);
-                    let dense = e.with_flips_words(&c.words, &c.flips);
-                    let fused = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
+                    let fused = e.with_masked_rows(&c.words, &c.bits, &c.outs, &c.rows);
                     let at = format!("{kind} seed {seed} outputs {n_outputs}");
-                    assert_eq!(dense.to_bits(), fused.to_bits(), "{at}");
                     if !is_mean(kind) {
+                        let measured = e.measured_with_flips_words(&c.words, &c.flips);
+                        assert_eq!(measured.to_bits(), fused.to_bits(), "{at}");
                         continue;
                     }
                     let mut sum = e.cur_sum;
@@ -1526,7 +1388,7 @@ mod tests {
                     }
                     assert_eq!(
                         e.finalize(sum, 0.0).to_bits(),
-                        dense.to_bits(),
+                        fused.to_bits(),
                         "{at} replay"
                     );
                 }
@@ -1537,9 +1399,14 @@ mod tests {
 
     #[test]
     fn bounded_scores_are_exact_and_bounds_never_exceed_delta() {
-        // Every lower bound handed to the prune callback must be <= the
+        // Through the one bounded entry point, whichever kernel it picks:
+        // every lower bound handed to the prune callback must be <= the
         // exact final ΔE (soundness), and a never-pruning run must be
-        // bit-identical to the unbounded evaluation.
+        // bit-identical to the unbounded `with_masked_rows`. MED and NMED
+        // at 5 outputs run the integer word kernel, every other mean case
+        // (NMED at 64 outputs among them) the per-pattern fold; WCE and
+        // ER are scored exactly and never consult `prune`.
+        let mut per_kernel = [0usize; 2]; // [per-pattern fold, word kernel]
         for (seed, n_patterns, n_outputs) in [
             (11u64, 200, 5),
             (12, 4096 + 77, 5),
@@ -1549,26 +1416,20 @@ mod tests {
             (16, 10_000, 128),
         ] {
             let c = masked_case(seed, n_patterns, n_outputs);
-            for kind in [
-                MetricKind::Med,
-                MetricKind::Nmed,
-                MetricKind::Mred,
-                MetricKind::Mse,
-            ] {
+            let mut suffix = Vec::new();
+            for kind in MetricKind::ALL {
                 let mut e = ErrorEval::new(kind, &c.golden, c.n_patterns);
                 e.rebase(&c.approx);
                 let current = e.current();
-                let exact = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
+                let exact = e.with_masked_rows(&c.words, &c.bits, &c.outs, &c.rows);
                 let delta = exact - current;
-                let mut suffix = Vec::new();
-                e.word_base_suffix(&c.words, &mut suffix);
                 let mut lbs: Vec<f64> = Vec::new();
                 let got = e.masked_rows_bounded(
                     &c.words,
-                    &c.dev,
+                    &c.bits,
                     &c.outs,
                     &c.rows,
-                    &suffix,
+                    &mut suffix,
                     current,
                     |lb| {
                         lbs.push(lb);
@@ -1576,6 +1437,21 @@ mod tests {
                     },
                 );
                 assert_eq!(got, BoundedScore::Exact(exact), "{kind} seed {seed}");
+                if !is_mean(kind) {
+                    assert!(lbs.is_empty(), "{kind} seed {seed}: prune consulted");
+                    let always = e.masked_rows_bounded(
+                        &c.words,
+                        &c.bits,
+                        &c.outs,
+                        &c.rows,
+                        &mut suffix,
+                        current,
+                        |_| true,
+                    );
+                    assert_eq!(always, BoundedScore::Exact(exact), "{kind} seed {seed}");
+                    continue;
+                }
+                per_kernel[e.word_kernel_eligible() as usize] += 1;
                 assert_eq!(lbs.len(), c.words.len() + 1);
                 for (j, &lb) in lbs.iter().enumerate() {
                     assert!(
@@ -1590,10 +1466,10 @@ mod tests {
                 let thr = delta - delta.abs() * 1e-6 - 1e-15;
                 match e.masked_rows_bounded(
                     &c.words,
-                    &c.dev,
+                    &c.bits,
                     &c.outs,
                     &c.rows,
-                    &suffix,
+                    &mut suffix,
                     current,
                     |lb| lb > thr,
                 ) {
@@ -1604,40 +1480,29 @@ mod tests {
                 }
             }
 
-            // ER: the deviation-select scorers, dense and sparse,
-            // against the fused-row fold and their scalar instances.
+            // ER: the deviation-select scorer against the fused-row fold
+            // and its scalar instance.
             let mut e = ErrorEval::new(MetricKind::Er, &c.golden, c.n_patterns);
             e.rebase(&c.approx);
             let mut e1 = Vec::new();
             e.er_conditional_union(&c.outs, &c.rows, &mut e1);
-            let exact = e.er_with_deviation(&c.words, &c.dev, &e1);
             assert_eq!(
-                exact.to_bits(),
-                e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows)
+                e.er_with_deviation(&c.words, &c.bits, &e1).to_bits(),
+                e.with_masked_rows(&c.words, &c.bits, &c.outs, &c.rows)
                     .to_bits(),
                 "er seed {seed}"
             );
-            let bits: Vec<u64> = c.words.iter().map(|&w| c.dev[w as usize]).collect();
-            assert_eq!(
-                e.er_with_deviation_sparse(&c.words, &bits, &e1).to_bits(),
-                exact.to_bits(),
-                "er sparse seed {seed}"
-            );
             let (ew, ep) = (&e.er_words, &e.er_word_pops);
             assert_eq!(
-                er_dense_delta(ew, ep, &e1, &c.words, &c.dev, c.n_patterns),
-                er_dense_delta_scalar(ew, ep, &e1, &c.words, &c.dev, c.n_patterns),
-                "er dense dispatch seed {seed}"
-            );
-            assert_eq!(
-                er_sparse_delta(ew, ep, &e1, &c.words, &bits, c.n_patterns),
-                er_sparse_delta_scalar(ew, ep, &e1, &c.words, &bits, c.n_patterns),
-                "er sparse dispatch seed {seed}"
+                er_delta(ew, ep, &e1, &c.words, &c.bits, c.n_patterns),
+                er_delta_scalar(ew, ep, &e1, &c.words, &c.bits, c.n_patterns),
+                "er dispatch seed {seed}"
             );
         }
+        assert!(per_kernel.iter().all(|&n| n > 0), "kernels {per_kernel:?}");
     }
 
-    /// Runs `masked_rows_bounded` and `masked_words_bounded` with the
+    /// Runs the per-pattern fold and the integer word kernel with the
     /// same pruning threshold, returning both results and the lower
     /// bounds each one handed to its `prune` callback.
     #[allow(clippy::type_complexity)]
@@ -1649,18 +1514,18 @@ mod tests {
         let current = e.current();
         let mut suffix = Vec::new();
         e.word_base_suffix(&c.words, &mut suffix);
-        let bits: Vec<u64> = c.words.iter().map(|&w| c.dev[w as usize]).collect();
+        let (words, bits, outs, rows) = (&c.words, &c.bits, &c.outs, &c.rows);
         let mut per_pattern = Vec::new();
-        let a = e.masked_rows_bounded(&c.words, &c.dev, &c.outs, &c.rows, &suffix, current, |lb| {
+        let fold = e.pattern_fold_bounded(words, bits, outs, rows, &suffix, current, |lb| {
             per_pattern.push(lb.to_bits());
             lb > thr
         });
         let mut per_word = Vec::new();
-        let b = e.masked_words_bounded(&c.words, &bits, &c.outs, &c.rows, &suffix, current, |lb| {
+        let kernel = e.word_kernel_bounded(words, bits, outs, rows, &suffix, current, |lb| {
             per_word.push(lb.to_bits());
             lb > thr
         });
-        ((a, per_pattern), (b, per_word))
+        ((fold, per_pattern), (kernel, per_word))
     }
 
     fn score_bits(s: BoundedScore) -> (bool, u64) {
@@ -1689,7 +1554,7 @@ mod tests {
                     e.rebase(&c.approx);
                     let at = format!("{kind} outputs {n_outputs} patterns {n_patterns}");
                     assert!(e.word_kernel_eligible(), "{at}");
-                    let oracle = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
+                    let oracle = e.with_masked_rows(&c.words, &c.bits, &c.outs, &c.rows);
                     let ((a, la), (b, lb)) = both_bounded(&e, &c, f64::INFINITY);
                     assert_eq!(score_bits(a), (true, oracle.to_bits()), "{at}");
                     assert_eq!(score_bits(b), score_bits(a), "{at}");
@@ -1739,7 +1604,7 @@ mod tests {
             let c = masked_case(seed, n_patterns, n_outputs);
             let mut e = ErrorEval::new(MetricKind::Med, &c.golden, c.n_patterns);
             e.rebase(&c.approx);
-            let oracle = e.with_masked_rows(&c.words, &c.dev, &c.outs, &c.rows);
+            let oracle = e.with_masked_rows(&c.words, &c.bits, &c.outs, &c.rows);
             let ((a, _), (b, _)) = both_bounded(&e, &c, f64::INFINITY);
             assert_eq!(
                 score_bits(a),
@@ -1875,7 +1740,7 @@ mod tests {
                                 wi += 1;
                             }
                             if wi == chunk_wi {
-                                sum += e.chunk_sums()[ch];
+                                sum += e.chunk_sums[ch];
                             } else {
                                 let p_end = ((ch + 1) * PAT_CHUNK).min(c.n_patterns);
                                 let mut csum = 0.0f64;

@@ -139,9 +139,13 @@ proptest! {
                 "{}: sparse {} vs dense re-measure {}", kind, sparse, remeasured
             );
 
-            // The delta-based estimate only promises closeness for the
-            // mean metrics, exactness for ER and WCE.
-            let estimate = eval.with_flips_words(&words, &flips);
+            // The Σ-delta fold of `with_masked_rows` — every flip row as
+            // a transfer-mask row under an all-ones deviation — only
+            // promises closeness for the mean metrics, exactness for ER
+            // and WCE.
+            let outs: Vec<u32> = (0..flips.len() as u32).collect();
+            let ones = vec![u64::MAX; words.len()];
+            let estimate = eval.with_masked_rows(&words, &ones, &outs, &flips.concat());
             if matches!(kind, MetricKind::Er | MetricKind::Wce) {
                 prop_assert_eq!(estimate.to_bits(), remeasured.to_bits());
             } else {

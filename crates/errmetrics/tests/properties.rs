@@ -34,10 +34,11 @@ proptest! {
         let golden = gen(1);
         let approx = gen(2);
         let flips = gen(3);
+        let every_word: Vec<u32> = (0..stride as u32).collect();
         for kind in MetricKind::ALL {
             let mut e = ErrorEval::new(kind, &golden, n_patterns);
             e.rebase(&approx);
-            let predicted = e.with_flips(&flips);
+            let predicted = e.measured_with_flips_words(&every_word, &flips);
             let flipped: Vec<Vec<u64>> = approx
                 .iter()
                 .zip(&flips)

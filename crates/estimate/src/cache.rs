@@ -24,7 +24,7 @@
 //! polarity independent.
 
 use aig::{Aig, Fanouts, Lit, Node, NodeId};
-use bitsim::{ConeSimulator, ConeTopology, Sim};
+use bitsim::{word_mask, ConeSimulator, ConeTopology, Sim};
 use parkit::ScratchPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,19 +44,23 @@ pub struct MaskEntry {
 /// zero per-candidate heap allocations.
 #[derive(Debug, Default)]
 pub struct DevBuf {
-    /// Ascending nonzero word indices of the current candidate's
-    /// deviation mask.
+    /// Ascending nonzero word indices of a freshly computed deviation
+    /// mask ([`lac::deviation_into`]).
     pub words: Vec<u32>,
-    /// Dense `stride`-word deviation scratch.
+    /// The deviation bits at each entry of `words`.
+    pub bits: Vec<u64>,
+    /// `stride`-word signature scratch for [`lac::deviation_into`].
     pub scratch: Vec<u64>,
-    /// Suffix-bound scratch for the general metric path.
+    /// Suffix-bound scratch for
+    /// [`errmetrics::ErrorEval::masked_rows_bounded`].
     pub suffix: Vec<f64>,
 }
 
 /// A free-list of [`DevBuf`] scratch buffers shared by the scoring
 /// workers. Checkout order is schedule-dependent but buffer contents
-/// never influence results (sparse arrays come back cleared; dense
-/// scratch is re-initialized at each use site), so pooling preserves
+/// never influence results (the sparse arrays come back cleared, the
+/// signature scratch is fully overwritten by each deviation and the
+/// suffix scratch by each bounded call), so pooling preserves
 /// bit-identity at any thread count.
 #[derive(Debug, Default)]
 pub struct DevPool {
@@ -77,6 +81,7 @@ impl DevPool {
     /// Returns a buffer, clearing the sparse arrays (capacity is kept).
     pub fn restore(&self, mut buf: DevBuf) {
         buf.words.clear();
+        buf.bits.clear();
         self.bufs.put(buf);
     }
 
@@ -109,7 +114,6 @@ pub struct CacheStats {
 /// circuit revision it was last [`MaskCache::roll`]ed to.
 #[derive(Debug, Default)]
 pub struct MaskCache {
-    generation: u64,
     entries: Vec<Option<MaskEntry>>,
     // Snapshot of the revision `entries` belongs to. The simulation is
     // a shared handle, not a copy.
@@ -135,11 +139,6 @@ impl MaskCache {
     /// An empty cache; the first [`MaskCache::roll`] sizes it.
     pub fn new() -> Self {
         MaskCache::default()
-    }
-
-    /// Monotone revision counter, bumped once per [`MaskCache::roll`].
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Behaviour counters since construction.
@@ -194,7 +193,6 @@ impl MaskCache {
     /// starts with empty ones.
     pub fn fork(&self) -> MaskCache {
         MaskCache {
-            generation: self.generation,
             entries: self.entries.clone(),
             snap_nodes: self.snap_nodes.clone(),
             snap_out_lits: self.snap_out_lits.clone(),
@@ -214,7 +212,6 @@ impl MaskCache {
     /// unknown edit) flushes every entry. `fanouts` must be built for
     /// `aig`.
     pub fn roll(&mut self, aig: &Aig, sim: &Sim, fanouts: &Fanouts, remap: Option<&[Option<Lit>]>) {
-        self.generation += 1;
         self.stats.rounds += 1;
         let n_new = aig.n_nodes();
         let same_shape = self
@@ -437,16 +434,5 @@ fn struct_eq(new: &Node, old: &Node, remap: &[Option<Lit>]) -> bool {
             (ia == *a && ib == *b) || (ia == *b && ib == *a)
         }
         _ => false,
-    }
-}
-
-fn word_mask(n_patterns: usize, w: usize) -> u64 {
-    let rem = n_patterns.saturating_sub(w * 64);
-    if rem >= 64 {
-        u64::MAX
-    } else if rem == 0 {
-        0
-    } else {
-        (1u64 << rem) - 1
     }
 }

@@ -12,9 +12,9 @@
 //!    substituted function differs from `n`) then flips output `o`
 //!    exactly on `D & M(n, o)`, because a single-node change propagates
 //!    deterministically per pattern;
-//! 3. the incremental [`errmetrics::ErrorEval`] turns those flip masks
-//!    into the candidate's error in time proportional to the flipped
-//!    patterns.
+//! 3. the incremental [`errmetrics::ErrorEval`] turns the sparse
+//!    deviation and the transfer masks into the candidate's error in time
+//!    proportional to the flipped patterns.
 //!
 //! Step 2 is *exact on the sample* for a single LAC — the estimation gap
 //! the AccALS paper reasons about appears only when summing the `ΔE` of
@@ -27,10 +27,17 @@
 //! [`bitsim::ConeSimulator`] out of the cache's pool and binds it to a
 //! shared [`ConeTopology`]), and scoring is parallel over candidates.
 //! Per-candidate work touches only the words where the deviation mask is
-//! nonzero, via [`errmetrics::ErrorEval::with_flips_words`]. Every
-//! per-candidate value is computed independently and written to its
-//! input slot, so results are bit-identical at any thread count. Transfer masks can be
-//! reused across synthesis rounds through a [`MaskCache`] — see
+//! nonzero: every deviation is the sparse `(words, bits)` shape of
+//! [`lac::DevMask`], computed by [`lac::deviation_into`] or read from the
+//! candidate store. [`BatchEstimator::score_all`] scores each one exactly
+//! ([`errmetrics::ErrorEval::with_masked_rows`], or ER's
+//! [`errmetrics::ErrorEval::er_with_deviation`]), and
+//! [`BatchEstimator::score_topk`] hands each one to
+//! [`errmetrics::ErrorEval::masked_rows_bounded`], which picks the
+//! scoring kernel itself. Every per-candidate value is computed
+//! independently and written to its input slot, so results are
+//! bit-identical at any thread count. Transfer masks can be reused across
+//! synthesis rounds through a [`MaskCache`] — see
 //! [`BatchEstimator::with_cache`].
 
 #![deny(unsafe_code)]
@@ -347,6 +354,18 @@ impl<'a> BatchEstimator<'a> {
         (targets, slot_of, mffcs)
     }
 
+    /// ER's per-target union diffs under an all-deviating candidate
+    /// ([`ErrorEval::er_conditional_union`]), in `targets` order.
+    fn er_unions(&self, targets: &[NodeId]) -> Vec<Vec<u64>> {
+        let (store, eval) = (self.cache.get(), self.eval);
+        self.pool.par_map_collect(targets, |_, &tn| {
+            let entry = store.get(tn).expect("mask entry was just built");
+            let mut e1 = Vec::new();
+            eval.er_conditional_union(&entry.outs, &entry.masks, &mut e1);
+            e1
+        })
+    }
+
     /// Scores every candidate: estimated error increase `ΔE` plus the
     /// area gain (MFFC size minus new-function cost). Results are in
     /// input order and bit-identical at any thread count. Each
@@ -372,61 +391,39 @@ impl<'a> BatchEstimator<'a> {
         // circuit would have if every pattern deviated (the transfer
         // masks folded into the current diffs once). Scoring a candidate
         // is then a two-way select per deviating word — no per-output
-        // loop and no flip materialization at all.
-        let scored: Vec<Vec<ScoredLac>> = if eval.kind() == MetricKind::Er {
-            let e1s: Vec<Vec<u64>> = pool.par_map_collect(&targets, |_, &tn| {
-                let entry = store.get(tn).expect("mask entry was just built");
-                let mut e1 = Vec::new();
-                eval.er_conditional_union(&entry.outs, &entry.masks, &mut e1);
-                e1
-            });
-            pool.par_chunk_results(cands.len(), chunk, |_, range| {
-                let mut buf = dev_pool.checkout();
-                buf.scratch.resize(stride, 0);
-                let mut out = Vec::with_capacity(range.len());
-                for ci in range {
-                    let lac = &cands[ci];
-                    let slot = slot_of[&lac.tn] as usize;
-                    buf.words.clear();
-                    fresh_dev_into(sim, lac, &mut buf.scratch, &mut buf.words);
-                    let e_new = eval.er_with_deviation(&buf.words, &buf.scratch, &e1s[slot]);
-                    out.push(ScoredLac {
-                        lac: *lac,
-                        delta_e: e_new - current,
-                        gain: mffcs[slot] - lac.new_node_cost() as i64,
-                    });
-                }
-                dev_pool.restore(buf);
-                out
-            })
+        // loop and no flip materialization at all. The other metrics
+        // decode `dev & row` inline per output while folding.
+        let er = eval.kind() == MetricKind::Er;
+        let e1s = if er {
+            self.er_unions(&targets)
         } else {
-            // Phase 2 (general metrics): score candidates in parallel.
-            // Flip rows are never materialized — the evaluator decodes
-            // `dev & row` inline per output while folding, so the only
-            // per-chunk scratch is the pooled dense deviation buffer.
-            pool.par_chunk_results(cands.len(), chunk, |_, range| {
-                let mut buf = dev_pool.checkout();
-                // Every deviation is a full overwrite of the scratch.
-                buf.scratch.resize(stride, 0);
-                let mut out = Vec::with_capacity(range.len());
-                for ci in range {
-                    let lac = &cands[ci];
-                    let slot = slot_of[&lac.tn] as usize;
-                    let entry = store.get(lac.tn).expect("mask entry was just built");
-                    buf.words.clear();
-                    fresh_dev_into(sim, lac, &mut buf.scratch, &mut buf.words);
-                    let e_new =
-                        eval.with_masked_rows(&buf.words, &buf.scratch, &entry.outs, &entry.masks);
-                    out.push(ScoredLac {
-                        lac: *lac,
-                        delta_e: e_new - current,
-                        gain: mffcs[slot] - lac.new_node_cost() as i64,
-                    });
-                }
-                dev_pool.restore(buf);
-                out
-            })
+            Vec::new()
         };
+        let scored: Vec<Vec<ScoredLac>> = pool.par_chunk_results(cands.len(), chunk, |_, range| {
+            let mut buf = dev_pool.checkout();
+            buf.scratch.resize(stride, 0);
+            let mut out = Vec::with_capacity(range.len());
+            for ci in range {
+                let lac = &cands[ci];
+                let slot = slot_of[&lac.tn] as usize;
+                buf.words.clear();
+                buf.bits.clear();
+                lac::deviation_into(sim, lac, &mut buf.scratch, &mut buf.words, &mut buf.bits);
+                let e_new = if er {
+                    eval.er_with_deviation(&buf.words, &buf.bits, &e1s[slot])
+                } else {
+                    let entry = store.get(lac.tn).expect("mask entry was just built");
+                    eval.with_masked_rows(&buf.words, &buf.bits, &entry.outs, &entry.masks)
+                };
+                out.push(ScoredLac {
+                    lac: *lac,
+                    delta_e: e_new - current,
+                    gain: mffcs[slot] - lac.new_node_cost() as i64,
+                });
+            }
+            dev_pool.restore(buf);
+            out
+        });
         self.phases.score_ms += t_score.elapsed().as_secs_f64() * 1e3;
         scored.into_iter().flatten().collect()
     }
@@ -476,11 +473,9 @@ impl<'a> BatchEstimator<'a> {
             return (Vec::new(), TopkStats::default());
         }
         let (targets, slot_of, mffcs) = self.prepare_targets(cands);
-        let stride = self.sim.stride();
         let pool = self.pool;
         let eval = self.eval;
         let current = self.current_error;
-        let kind = eval.kind();
         let store = self.cache.get();
         let dev_pool = self.cache.get().dev_pool();
         let t_score = Instant::now();
@@ -492,13 +487,8 @@ impl<'a> BatchEstimator<'a> {
         // top k (plus ties) by a linear select. Bit-identity with the
         // dense sorted head is trivial: every returned `ΔE` is the
         // exact fold.
-        if kind == MetricKind::Er {
-            let e1s: Vec<Vec<u64>> = pool.par_map_collect(&targets, |_, &tn| {
-                let entry = store.get(tn).expect("mask entry was just built");
-                let mut e1 = Vec::new();
-                eval.er_conditional_union(&entry.outs, &entry.masks, &mut e1);
-                e1
-            });
+        if eval.kind() == MetricKind::Er {
+            let e1s = self.er_unions(&targets);
             let chunk = cands.len().div_ceil(pool.threads() * 4).max(1);
             let parts: Vec<Vec<(u32, f64)>> =
                 pool.par_chunk_results(cands.len(), chunk, |_, range| {
@@ -510,7 +500,7 @@ impl<'a> BatchEstimator<'a> {
                                 return None;
                             }
                             let d = devs[ci];
-                            let e_new = eval.er_with_deviation_sparse(d.words, d.bits, &e1s[slot]);
+                            let e_new = eval.er_with_deviation(d.words, d.bits, &e1s[slot]);
                             Some((ci as u32, e_new - current))
                         })
                         .collect()
@@ -583,75 +573,28 @@ impl<'a> BatchEstimator<'a> {
             bitsim::popcount(bits, bits.len() * 64)
         });
 
+        // The evaluator picks the kernel (integer word kernel, per-
+        // pattern fold, or WCE's exact fold, which never prunes).
         let thr = TopkThreshold::new(k, self.unsound_bound);
-        let word_kernel = eval.word_kernel_eligible();
         let chunk = order.len().div_ceil(pool.threads() * 8).max(1);
         let exact: Vec<Vec<(u32, f64)>> = pool.par_chunk_results(order.len(), chunk, |_, range| {
             let mut buf = dev_pool.checkout();
-            buf.scratch.clear();
-            buf.scratch.resize(stride, 0);
-            buf.suffix.clear();
             let mut out = Vec::new();
             for oi in range {
                 let ci = order[oi] as usize;
-                let lac = &cands[ci];
                 let d = devs[ci];
-                let words = d.words;
-                let res = match kind {
-                    MetricKind::Wce => {
-                        // WCE has no monotone per-pattern fold; score
-                        // exactly (still benefits from the fused rows).
-                        for (j, &w) in words.iter().enumerate() {
-                            buf.scratch[w as usize] = d.bits[j];
-                        }
-                        let entry = store.get(lac.tn).expect("mask entry was just built");
-                        let e_new =
-                            eval.with_masked_rows(words, &buf.scratch, &entry.outs, &entry.masks);
-                        for &w in words {
-                            buf.scratch[w as usize] = 0;
-                        }
-                        BoundedScore::Exact(e_new)
-                    }
-                    _ if word_kernel => {
-                        // Integer per-word deltas, read straight from
-                        // the sparse deviation words.
-                        let entry = store.get(lac.tn).expect("mask entry was just built");
-                        eval.word_base_suffix(words, &mut buf.suffix);
-                        eval.masked_words_bounded(
-                            words,
-                            d.bits,
-                            &entry.outs,
-                            &entry.masks,
-                            &buf.suffix,
-                            current,
-                            |lb| lb > thr.get(),
-                        )
-                    }
-                    _ => {
-                        for (j, &w) in words.iter().enumerate() {
-                            buf.scratch[w as usize] = d.bits[j];
-                        }
-                        let entry = store.get(lac.tn).expect("mask entry was just built");
-                        eval.word_base_suffix(words, &mut buf.suffix);
-                        let res = eval.masked_rows_bounded(
-                            words,
-                            &buf.scratch,
-                            &entry.outs,
-                            &entry.masks,
-                            &buf.suffix,
-                            current,
-                            |lb| lb > thr.get(),
-                        );
-                        for &w in words {
-                            buf.scratch[w as usize] = 0;
-                        }
-                        res
-                    }
-                };
+                let entry = store.get(cands[ci].tn).expect("mask entry was just built");
+                let res = eval.masked_rows_bounded(
+                    d.words,
+                    d.bits,
+                    &entry.outs,
+                    &entry.masks,
+                    &mut buf.suffix,
+                    current,
+                    |lb| lb > thr.get(),
+                );
                 if let BoundedScore::Exact(e_new) = res {
-                    if kind != MetricKind::Wce {
-                        thr.offer(e_new - current);
-                    }
+                    thr.offer(e_new - current);
                     out.push((ci as u32, e_new));
                 }
             }
@@ -698,20 +641,6 @@ fn sort_flow_order(picked: &mut [(u32, ScoredLac)]) {
             .then(a.lac.tn.cmp(&b.lac.tn))
             .then(ia.cmp(ib))
     });
-}
-
-/// Computes `lac`'s deviation mask into `dense` (a full overwrite: the
-/// substituted function's signature XOR the target's), appending the
-/// nonzero word indices to `words`. Bit-identical to [`lac::DevMask::of`].
-fn fresh_dev_into(sim: &Sim, lac: &Lac, dense: &mut [u64], words: &mut Vec<u32>) {
-    lac.signature_into(sim, dense);
-    let base = sim.sig(lac.tn);
-    for (w, d) in dense.iter_mut().enumerate() {
-        *d ^= base[w]; // deviation mask, reusing the buffer
-        if *d != 0 {
-            words.push(w as u32);
-        }
-    }
 }
 
 /// Packs per-output flip rows into a [`MaskEntry`], keeping only the

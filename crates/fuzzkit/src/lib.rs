@@ -16,9 +16,9 @@
 //!   threads after every step, plus a BDD exact-error oracle against
 //!   exhaustive bit-parallel simulation for small circuits, and short
 //!   end-to-end flows held to the reference flow;
-//! - [`reference`] is the dense, obviously correct Algorithm 1 flow the
+//! - [`reference`](mod@reference) is the dense, obviously correct Algorithm 1 flow the
 //!   production engine must match trajectory for trajectory;
-//! - [`shrink`] minimizes a failing case deterministically and prints a
+//! - [`shrink()`] minimizes a failing case deterministically and prints a
 //!   single-line repro.
 //!
 //! Every case is a pure function of a [`FuzzCase`] — a seed plus a few

@@ -582,7 +582,7 @@ pub(crate) fn gen_node(
 ///
 /// Each node draws its probes from private RNG streams keyed by
 /// `cfg.seed` and the node's signature, via rendezvous weights over the
-/// visible pool (see [`probe_tweaks`]), so its candidates do not depend
+/// visible pool (see `probe_tweaks`), so its candidates do not depend
 /// on which other nodes exist or in which order nodes are processed —
 /// the property [`crate::CandidateStore`] exploits to regenerate only
 /// dirty nodes across rounds.

@@ -43,7 +43,7 @@ pub use gen::{
     CandidateConfig, GenCounters,
 };
 pub use kinds::{Lac, LacKind};
-pub use store::{CandidateStore, DevMask, DevView, StoreStats};
+pub use store::{deviation_into, CandidateStore, DevMask, DevView, StoreStats};
 
 use aig::{Aig, AigError, Fanouts, Lit, NodeId, PatchLog};
 use std::fmt;

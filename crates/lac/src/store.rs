@@ -87,17 +87,8 @@ impl DevMask {
     /// Computes the deviation of `lac` against the target's signature,
     /// using `scratch` (of `sim.stride()` words) as workspace.
     pub fn of(sim: &Sim, lac: &Lac, scratch: &mut [u64]) -> Self {
-        lac.signature_into(sim, scratch);
-        let base = sim.sig(lac.tn);
-        let mut words = Vec::new();
-        let mut bits = Vec::new();
-        for (w, (&c, &b)) in scratch.iter().zip(base).enumerate() {
-            let d = c ^ b;
-            if d != 0 {
-                words.push(w as u32);
-                bits.push(d);
-            }
-        }
+        let (mut words, mut bits) = (Vec::new(), Vec::new());
+        deviation_into(sim, lac, scratch, &mut words, &mut bits);
         DevMask {
             words: words.into_boxed_slice(),
             bits: bits.into_boxed_slice(),
@@ -109,6 +100,29 @@ impl DevMask {
         DevView {
             words: &self.words,
             bits: &self.bits,
+        }
+    }
+}
+
+/// Appends `lac`'s deviation against its target's signature to
+/// `words`/`bits` — the [`DevMask`] shape: each word index where the
+/// substituted function differs from the target, ascending, and the
+/// differing bits there. `scratch` (of `sim.stride()` words) receives
+/// the substituted function's signature.
+pub fn deviation_into(
+    sim: &Sim,
+    lac: &Lac,
+    scratch: &mut [u64],
+    words: &mut Vec<u32>,
+    bits: &mut Vec<u64>,
+) {
+    lac.signature_into(sim, scratch);
+    let base = sim.sig(lac.tn);
+    for (w, (&c, &b)) in scratch.iter().zip(base).enumerate() {
+        let d = c ^ b;
+        if d != 0 {
+            words.push(w as u32);
+            bits.push(d);
         }
     }
 }
@@ -239,16 +253,8 @@ impl CandArena {
     fn push_node(&mut self, g: &NodeGen, sim: &Sim, scratch: &mut [u64], born: u64) -> EntryMeta {
         let cand_start = self.cands.len();
         for c in &g.cands {
-            c.signature_into(sim, scratch);
-            let base = sim.sig(c.tn);
             let dstart = self.dev_words.len();
-            for (w, (&x, &b)) in scratch.iter().zip(base).enumerate() {
-                let d = x ^ b;
-                if d != 0 {
-                    self.dev_words.push(w as u32);
-                    self.dev_bits.push(d);
-                }
-            }
+            deviation_into(sim, c, scratch, &mut self.dev_words, &mut self.dev_bits);
             self.dev_index
                 .push(Region::new(dstart, self.dev_words.len() - dstart));
         }
@@ -428,11 +434,6 @@ impl CandidateStore {
     /// An empty store; the first [`CandidateStore::generate`] fills it.
     pub fn new() -> Self {
         CandidateStore::default()
-    }
-
-    /// Monotone revision counter, bumped once per generate call.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Behaviour counters since construction.

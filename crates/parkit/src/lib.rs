@@ -3,7 +3,7 @@
 //! The pool keeps a fixed set of parked worker threads alive for the
 //! process lifetime and hands them *scoped* jobs: closures that borrow
 //! from the submitting stack frame. Safety rests on one invariant —
-//! [`ThreadPool::run`] does not return until every worker has finished
+//! the pool's internal `run` does not return until every worker has finished
 //! the job — which lets hot loops borrow their inputs without `Arc` or
 //! cloning. Work is distributed by atomic chunk claiming (a shared
 //! counter over fixed chunk boundaries), so scheduling is dynamic but

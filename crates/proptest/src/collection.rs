@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use prng::Rng;
 
-/// Acceptable length specifications for [`vec`]: a fixed length or a
+/// Acceptable length specifications for [`vec()`]: a fixed length or a
 /// half-open range of lengths.
 pub trait IntoSizeRange {
     /// Draws a concrete length.
@@ -39,7 +39,7 @@ pub fn vec<S: Strategy, L: IntoSizeRange>(element: S, size: L) -> VecStrategy<S,
     VecStrategy { element, size }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S, L> {
     element: S,
     size: L,

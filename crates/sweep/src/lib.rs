@@ -354,8 +354,8 @@ fn round_key(t: &RoundTrace) -> (usize, u64, usize) {
     (t.applied, t.e_after.to_bits(), t.n_ands_after)
 }
 
-/// A 64-bit digest of a trajectory (FNV-1a over each round's
-/// [`round_key`]). Equal hashes across a batched and a standalone run
+/// A 64-bit digest of a trajectory (FNV-1a over each round's key
+/// `(applied, e_after bits, n_ands_after)`). Equal hashes across a batched and a standalone run
 /// of the same instance certify trajectory identity cheaply.
 pub fn trajectory_hash(rounds: &[RoundTrace]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -373,7 +373,7 @@ pub fn trajectory_hash(rounds: &[RoundTrace]) -> u64 {
 }
 
 /// The first round at which two trajectories diverge: the first index
-/// whose [`round_key`]s differ, or the shorter length when one
+/// whose round keys (as in [`trajectory_hash`]) differ, or the shorter length when one
 /// trajectory is a strict prefix of the other (the short flow stopped
 /// while the long one kept going — that *is* the divergence). `None`
 /// means the trajectories are identical.

@@ -39,6 +39,12 @@ else
     echo "== format: rustfmt not installed, skipping =="
 fi
 
+# API docs of every workspace crate, with rustdoc warnings (broken,
+# private or ambiguous intra-doc links) as errors, so a renamed or
+# deleted item cannot leave a dangling link behind.
+echo "== docs (offline): cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Fixed-seed smoke fuzz: a short deterministic soak of the differential
 # oracles (mask cache, candidate store, trial eval, BDD exact error, and
 # whole flows against the reference flow) — any divergence prints a

@@ -158,6 +158,9 @@ fn cmd_synth(args: &[String]) -> Result<(), Box<dyn Error>> {
     let input = required(args, "input")?;
     let metric: MetricKind = required(args, "metric")?.parse()?;
     let bound: f64 = required(args, "bound")?.parse()?;
+    if !(bound.is_finite() && bound > 0.0) {
+        return Err(format!("--bound must be a finite positive number, got `{bound}`").into());
+    }
     let flow = opt(args, "flow").unwrap_or_else(|| "accals".to_string());
     let seed: u64 = opt(args, "seed").map_or(Ok(0xACC_A15), |s| s.parse())?;
     let golden = load(&input)?;

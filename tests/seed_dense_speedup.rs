@@ -146,6 +146,8 @@ fn seed_dense_score_all(
     let mut dev = vec![0u64; stride];
     let mut cand_sig = vec![0u64; stride];
     let mut flips = vec![vec![0u64; stride]; n_outputs];
+    // Every word is rescored, as the seed's dense evaluation did.
+    let every_word: Vec<u32> = (0..stride as u32).collect();
 
     for tn in order {
         let forced: Vec<u64> = sim.sig(tn).iter().map(|w| !w).collect();
@@ -163,7 +165,7 @@ fn seed_dense_score_all(
                     flip[w] = dev[w] & masks[o][w];
                 }
             }
-            let e_new = eval.with_flips(&flips);
+            let e_new = eval.measured_with_flips_words(&every_word, &flips);
             results[ci] = Some(ScoredLac {
                 lac: *lac,
                 delta_e: e_new - current_error,
