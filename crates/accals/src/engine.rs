@@ -48,8 +48,8 @@ use crate::{AccalsConfig, SynthesisResult};
 use aig::{Aig, Lit, NodeId};
 use bitsim::{simulate, simulate_into, ConeTopology, PatchSimulator, Patterns, Sim};
 use errmetrics::{error, ErrorEval, MetricKind};
-use estimate::{BatchEstimator, MaskCache, TopkStats};
-use lac::{apply_all, ApplyReport, CandidateStore, GenCounters, Lac, ScoredLac};
+use estimate::{BatchEstimator, MaskCache};
+use lac::{apply_all, ApplyReport, CandidateStore, Lac, ScoredLac};
 use parkit::{ScratchPool, ThreadPool};
 use prng::rngs::StdRng;
 use prng::seq::SliceRandom;
@@ -145,18 +145,16 @@ impl FlowCaches {
 
 /// The bound-independent round work, computed once per circuit
 /// revision: the simulation, the estimator's topology snapshot (which
-/// trial evaluation reuses), the candidate scores, and the phase
-/// accounting destined for each member's [`RoundTrace`].
+/// trial evaluation reuses), the candidate scores in flow order, and
+/// the shared part of every member's [`RoundTrace`].
 pub(crate) struct RoundShared {
     sim: Sim,
     topo: Arc<ConeTopology>,
     scored: Vec<ScoredLac>,
-    topk: TopkStats,
-    gen_ctrs: GenCounters,
-    candgen_ms: f64,
-    mask_ms: f64,
-    score_ms: f64,
-    window_targets: usize,
+    /// Candidate count, scoring counters, shared phase timings,
+    /// generation counters and window size; every member's trace starts
+    /// from it.
+    trace: RoundTrace,
 }
 
 /// The identity remap over `n` nodes: rolls a cache "forward" without
@@ -269,16 +267,25 @@ pub(crate) fn prepare_round(
             continue;
         }
         caches.retire(&sim);
+        let trace = RoundTrace {
+            n_candidates: topk.n_candidates,
+            scored_exact: topk.n_exact,
+            scored_pruned: topk.n_pruned,
+            candgen_ms,
+            mask_ms: phases.mask_ms,
+            score_ms: phases.score_ms,
+            candgen_probe_draws: gen_ctrs.probe_draws,
+            candgen_strip_cmps: gen_ctrs.strip_cmps,
+            candgen_pool_hits: gen_ctrs.pool_hits,
+            candgen_pool_misses: gen_ctrs.pool_misses,
+            window_targets,
+            ..RoundTrace::default()
+        };
         return Some(RoundShared {
             sim,
             topo,
             scored,
-            topk,
-            gen_ctrs,
-            candgen_ms,
-            mask_ms: phases.mask_ms,
-            score_ms: phases.score_ms,
-            window_targets,
+            trace,
         });
     }
     caches.retire(&sim);
@@ -330,8 +337,7 @@ pub(crate) struct RoundCtx<'s, 'a> {
 
 impl<'a> RoundCtx<'_, 'a> {
     /// A trial evaluator over the round's base circuit, on patch
-    /// scratch from the flow's pool; give it back with
-    /// [`RoundCtx::release`].
+    /// scratch from the flow's pool.
     fn trial_eval(&self) -> TrialEval<'a> {
         let patch = self
             .patches
@@ -344,10 +350,6 @@ impl<'a> RoundCtx<'_, 'a> {
             Arc::clone(self.topo),
             patch,
         )
-    }
-
-    fn release(&self, te: TrialEval<'_>) {
-        self.patches.put(te.into_patch());
     }
 
     /// The measured error of a committed circuit, by full simulation
@@ -370,42 +372,57 @@ impl<'a> RoundCtx<'_, 'a> {
 
 /// Cross-member memoization for one cohort round. Trial measurements
 /// and commits are pure functions of `(base circuit, LAC set)`, so
-/// members that select the same set pay for it once; the single-mode
-/// top list is bound-independent and shared outright.
+/// members that select the same set pay for it once.
 #[derive(Default)]
 pub(crate) struct RoundScratch<'a> {
-    single_top: Option<Vec<ScoredLac>>,
-    te: Option<TrialEval<'a>>,
+    /// The round's trial evaluators, one per concurrent measurement.
+    evals: ScratchPool<TrialEval<'a>>,
     trials: HashMap<(Vec<Lac>, bool), TrialMeasure>,
     commits: HashMap<Vec<Lac>, Arc<Committed>>,
 }
 
 impl<'a> RoundScratch<'a> {
-    /// Ends the round, returning the memo evaluator's scratch to the
+    /// Ends the round, returning every evaluator's scratch to the
     /// flow's pool.
     fn finish(self, patches: &ScratchPool<PatchSimulator>) {
-        if let Some(te) = self.te {
+        while let Some(te) = self.evals.take() {
             patches.put(te.into_patch());
         }
     }
 
-    /// Memoized incremental trial measurement of `lacs` against the
-    /// round's base circuit. Measurements are pure (the [`TrialEval`]
-    /// contract), so the memo is unobservable in the results.
-    fn trial(
+    /// Memoized incremental trial measurement of each of `sets` against
+    /// the round's base circuit, in order. Sets the memo lacks are
+    /// measured in parallel on the round's pool (inline on a serial
+    /// one), each on an evaluator drawn from the round's. Measurements
+    /// are pure (the [`TrialEval`] contract), so neither the memo nor
+    /// the schedule is observable in the results.
+    fn measure(
         &mut self,
         ctx: &RoundCtx<'_, 'a>,
-        lacs: &[ScoredLac],
+        sets: &[&[ScoredLac]],
         want_n_ands: bool,
-    ) -> TrialMeasure {
-        let key = (lacs.iter().map(|s| s.lac).collect::<Vec<_>>(), want_n_ands);
-        if let Some(m) = self.trials.get(&key) {
-            return *m;
+    ) -> Vec<TrialMeasure> {
+        let keys: Vec<(Vec<Lac>, bool)> = sets
+            .iter()
+            .map(|set| (set.iter().map(|s| s.lac).collect(), want_n_ands))
+            .collect();
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if !self.trials.contains_key(key) && !misses.iter().any(|&j| keys[j] == *key) {
+                misses.push(i);
+            }
         }
-        let te = self.te.get_or_insert_with(|| ctx.trial_eval());
-        let m = te.measure(lacs, want_n_ands);
-        self.trials.insert(key, m);
-        m
+        let evals = &self.evals;
+        let measured = ctx.pool.par_map_collect(&misses, |_, &i| {
+            let mut te = evals.take().unwrap_or_else(|| ctx.trial_eval());
+            let m = te.measure(sets[i], want_n_ands);
+            evals.put(te);
+            m
+        });
+        for (i, m) in misses.into_iter().zip(measured) {
+            self.trials.insert(keys[i].clone(), m);
+        }
+        keys.iter().map(|key| self.trials[key]).collect()
     }
 
     /// Memoized commit of `lacs`: clone, apply, cleanup. The
@@ -454,9 +471,9 @@ pub(crate) fn decide_round<'a>(
 ) -> (Arc<Committed>, RoundTrace) {
     let single_mode = ctx.e > ctx.cfg.l_e * ctx.cfg.error_bound;
     if single_mode {
-        return single_round(ctx, scratch, &shared.scored, shared.topk.n_candidates);
+        return single_round(ctx, scratch, shared);
     }
-    let (c1, t1) = multi_round(ctx, scratch, rng, &shared.scored, shared.topk.n_candidates);
+    let (c1, t1) = multi_round(ctx, scratch, rng, shared);
     let progress = t1.applied > 0
         && c1.aig.n_ands() <= ctx.current.n_ands()
         && (c1.aig.n_ands() < ctx.current.n_ands() || t1.e_after != ctx.e);
@@ -468,41 +485,24 @@ pub(crate) fn decide_round<'a>(
         // expensive simulate + estimate work is already paid for, so
         // this stays one round rather than burning a fresh estimation
         // pass on the retry.
-        single_round(ctx, scratch, &shared.scored, shared.topk.n_candidates)
+        single_round(ctx, scratch, shared)
     }
 }
 
 fn single_round<'a>(
     ctx: &RoundCtx<'_, 'a>,
     scratch: &mut RoundScratch<'a>,
-    scored: &[ScoredLac],
-    n_candidates: usize,
+    shared: &RoundShared,
 ) -> (Arc<Committed>, RoundTrace) {
-    let t_select = Instant::now();
-    // The sort is bound-independent, so one member's work serves the
-    // whole cohort.
-    let top: Vec<ScoredLac> = scratch
-        .single_top
-        .get_or_insert_with(|| {
-            let mut top = scored.to_vec();
-            top.sort_by(|a, b| {
-                a.delta_e
-                    .partial_cmp(&b.delta_e)
-                    .expect("ΔE is never NaN")
-                    .then(b.gain.cmp(&a.gain))
-                    .then(a.lac.tn.cmp(&b.lac.tn))
-            });
-            top.truncate(64);
-            top
-        })
-        .clone();
-    let select_ms = ms(t_select.elapsed());
+    // The scored list is already in flow order; the ladder walks its
+    // head.
+    let top = &shared.scored[..shared.scored.len().min(64)];
     // Try candidates in order until one makes progress (area shrinks,
     // or the error moves at equal area — never area growth, which
     // would let the flow cycle). A candidate that overshoots the
     // bound is terminal: Algorithm 1 stops there.
     let t_trial = Instant::now();
-    let (i, m) = pick_single_trial(ctx, scratch, &top).expect("scored list is non-empty");
+    let (i, m) = pick_single_trial(ctx, scratch, top).expect("scored list is non-empty");
     let trial_ms = ms(t_trial.elapsed());
     let best = &top[i];
     let t_commit = Instant::now();
@@ -510,7 +510,6 @@ fn single_round<'a>(
     let commit_ms = ms(t_commit.elapsed());
     let trace = RoundTrace {
         single_mode: true,
-        n_candidates,
         r_top: 1,
         n_sol: 1,
         n_indp: 1,
@@ -520,10 +519,9 @@ fn single_round<'a>(
         e_after: committed.e_after,
         e_est: ctx.e + best.delta_e,
         n_ands_after: committed.aig.n_ands(),
-        select_ms,
         trial_ms,
         commit_ms,
-        ..RoundTrace::default()
+        ..shared.trace.clone()
     };
     (committed, trace)
 }
@@ -535,66 +533,47 @@ fn single_round<'a>(
 /// committing any of them. Falls back to the last index when none is
 /// decisive.
 ///
-/// With more than one pool thread, candidates are measured
-/// speculatively in parallel waves; every measurement is bit-identical
-/// to its sequential counterpart and the wave results are scanned in
+/// Candidates are measured in waves through the round's memo. With
+/// more than one pool thread the waves speculate past the current
+/// candidate and run in parallel; every measurement is bit-identical to
+/// its sequential counterpart and the wave results are scanned in
 /// candidate order, so the pick is deterministic at any thread count.
-/// The serial path routes through the cohort memo instead — same
-/// measurements, shared across members.
 fn pick_single_trial<'a>(
     ctx: &RoundCtx<'_, 'a>,
     scratch: &mut RoundScratch<'a>,
     top: &[ScoredLac],
 ) -> Option<(usize, TrialMeasure)> {
-    if top.is_empty() {
-        return None;
-    }
     let n_ands = ctx.current.n_ands();
     let done = |m: &TrialMeasure| {
         let na = m.n_ands_after.expect("single trials measure area");
         let progress = na <= n_ands && (na < n_ands || m.e_after != ctx.e);
         progress || m.e_after > ctx.cfg.error_bound
     };
-    let threads = ctx.pool.threads();
-    if threads <= 1 {
-        let mut last = None;
-        for (i, s) in top.iter().enumerate() {
-            let m = scratch.trial(ctx, std::slice::from_ref(s), true);
-            let decisive = done(&m);
-            last = Some((i, m));
-            if decisive {
-                break;
-            }
-        }
-        return last;
-    }
     // Ladders are shallow in practice (the first candidate is usually
     // decisive), so ramp the speculative wave geometrically: the first
     // wave costs the same as the sequential ladder, and full-width
     // speculation only engages on the rare deep ladder where the
-    // parallel race actually pays.
-    let wave_cap = (threads * 2).clamp(2, 16);
+    // parallel race actually pays. A serial pool has nothing to
+    // speculate with and walks the ladder one candidate at a time.
+    let threads = ctx.pool.threads();
+    let wave_cap = if threads > 1 {
+        (threads * 2).min(16)
+    } else {
+        1
+    };
     let mut wave = 1;
     let mut start = 0;
     let mut last = None;
     while start < top.len() {
-        let slice = &top[start..(start + wave).min(top.len())];
-        let chunk = slice.len().div_ceil(threads).max(1);
-        let measures = ctx.pool.par_chunk_results(slice.len(), chunk, |_, r| {
-            let mut te = ctx.trial_eval();
-            let ms: Vec<_> = r
-                .map(|i| te.measure(std::slice::from_ref(&slice[i]), true))
-                .collect();
-            ctx.release(te);
-            ms
-        });
-        for (i, m) in measures.iter().flatten().enumerate() {
-            if done(m) {
-                return Some((start + i, *m));
+        let end = (start + wave).min(top.len());
+        let sets: Vec<&[ScoredLac]> = top[start..end].iter().map(std::slice::from_ref).collect();
+        for (i, m) in (start..).zip(scratch.measure(ctx, &sets, true)) {
+            if done(&m) {
+                return Some((i, m));
             }
-            last = Some((start + i, *m));
+            last = Some((i, m));
         }
-        start += slice.len();
+        start = end;
         wave = (wave * 2).min(wave_cap);
     }
     last
@@ -604,19 +583,18 @@ fn multi_round<'a>(
     ctx: &RoundCtx<'_, 'a>,
     scratch: &mut RoundScratch<'a>,
     rng: &mut StdRng,
-    scored: &[ScoredLac],
-    n_candidates: usize,
+    shared: &RoundShared,
 ) -> (Arc<Committed>, RoundTrace) {
     let cfg = ctx.cfg;
     let t_select = Instant::now();
     // Eq. (2) clamps against the full retained population, which a
     // pruned `scored` subset no longer reflects — pass it through.
     let l_top = obtain_top_set_from(
-        scored.to_vec(),
+        shared.scored.clone(),
         ctx.e,
         cfg.error_bound,
         ctx.r_ref,
-        n_candidates,
+        shared.trace.n_candidates,
     );
     let l_sol = find_solve_conflicts(&l_top);
     let l_indp = select_indep_lacs(
@@ -642,24 +620,11 @@ fn multi_round<'a>(
     // `l_d` negative-set check on the trial measurements, and only then
     // commit the chosen set through the round's one real apply.
     let t_trial = Instant::now();
-    let (e1, e2) = if cfg.race_random && ctx.pool.threads() > 1 {
-        let sets = [l_indp.as_slice(), l_rand.as_slice()];
-        let es = ctx.pool.par_map_collect(&sets, |_, set| {
-            let mut te = ctx.trial_eval();
-            let e = te.measure(set, false).e_after;
-            ctx.release(te);
-            e
-        });
-        (es[0], es[1])
-    } else {
-        let e1 = scratch.trial(ctx, &l_indp, false).e_after;
-        let e2 = if cfg.race_random {
-            scratch.trial(ctx, &l_rand, false).e_after
-        } else {
-            f64::INFINITY
-        };
-        (e1, e2)
-    };
+    let race = [l_indp.as_slice(), l_rand.as_slice()];
+    let n_racers = if cfg.race_random { 2 } else { 1 };
+    let es = scratch.measure(ctx, &race[..n_racers], false);
+    let e1 = es[0].e_after;
+    let e2 = es.get(1).map_or(f64::INFINITY, |m| m.e_after);
 
     let chose_indp = !cfg.race_random || e1 < e2 || (e1 == e2 && l_indp.len() >= l_rand.len());
     let (mut e_after, mut chosen) = if chose_indp {
@@ -674,7 +639,7 @@ fn multi_round<'a>(
     let mut reverted = false;
     if e_after > 0.0 && (e_after - e_est) / e_after > cfg.l_d {
         chosen = &l_top[..1];
-        e_after = scratch.trial(ctx, chosen, false).e_after;
+        e_after = scratch.measure(ctx, &[chosen], false)[0].e_after;
         e_est = ctx.e + chosen[0].delta_e;
         reverted = true;
     }
@@ -684,7 +649,6 @@ fn multi_round<'a>(
     let committed = scratch.commit(ctx, chosen, e_after);
     let commit_ms = ms(t_commit.elapsed());
     let trace = RoundTrace {
-        n_candidates,
         r_top: l_top.len(),
         n_sol: l_sol.len(),
         n_indp: l_indp.len(),
@@ -700,7 +664,7 @@ fn multi_round<'a>(
         select_ms,
         trial_ms,
         commit_ms,
-        ..RoundTrace::default()
+        ..shared.trace.clone()
     };
     (committed, trace)
 }
@@ -835,21 +799,6 @@ impl FlowInstance {
             self.finished = true;
             self.elapsed = self.start.elapsed();
         }
-    }
-
-    /// Copies the shared-phase accounting into a member's round trace.
-    fn fill_shared(&self, t: &mut RoundTrace, shared: &RoundShared) {
-        t.round = self.round;
-        t.candgen_ms = shared.candgen_ms;
-        t.mask_ms = shared.mask_ms;
-        t.score_ms = shared.score_ms;
-        t.scored_exact = shared.topk.n_exact;
-        t.scored_pruned = shared.topk.n_pruned;
-        t.candgen_probe_draws = shared.gen_ctrs.probe_draws;
-        t.candgen_strip_cmps = shared.gen_ctrs.strip_cmps;
-        t.candgen_pool_hits = shared.gen_ctrs.pool_hits;
-        t.candgen_pool_misses = shared.gen_ctrs.pool_misses;
-        t.window_targets = shared.window_targets;
     }
 
     /// The loop tail of Algorithm 1: push the trace, stop on bound
@@ -1162,7 +1111,7 @@ fn decide_cohort(
                 r_sel: m.r_sel,
             };
             let (committed, mut t) = decide_round(&ctx, &shared, &mut m.rng, &mut scratch);
-            m.fill_shared(&mut t, &shared);
+            t.round = m.round;
             (committed, t)
         })
         .collect();

@@ -75,13 +75,7 @@ pub fn obtain_top_set_from(
         n_candidates >= scored.len(),
         "population smaller than the scored subset"
     );
-    scored.sort_by(|a, b| {
-        a.delta_e
-            .partial_cmp(&b.delta_e)
-            .expect("ΔE is never NaN")
-            .then(b.gain.cmp(&a.gain))
-            .then(a.lac.tn.cmp(&b.lac.tn))
-    });
+    scored.sort_by(ScoredLac::flow_order);
     let min_delta = scored[0].delta_e;
     let r_min = scored.iter().take_while(|s| s.delta_e == min_delta).count();
     let k = r_top(error, error_bound, r_ref, r_min, n_candidates);

@@ -53,8 +53,8 @@ pub struct RoundTrace {
     /// milliseconds.
     pub score_ms: f64,
     /// Wall-clock spent in set selection (top set, conflict solving,
-    /// independence, random sampling — or the single-mode sort), in
-    /// milliseconds.
+    /// independence, random sampling), in milliseconds. Zero in single
+    /// mode, whose ladder walks the head of the already ordered scores.
     pub select_ms: f64,
     /// Wall-clock spent trial-measuring candidate sets, in milliseconds.
     pub trial_ms: f64,

@@ -172,6 +172,34 @@ impl Aig {
     }
 }
 
+/// The image of an old-revision literal under a cleanup remapping (as
+/// returned by [`Aig::cleanup`]), with its polarity carried through;
+/// `None` when the node did not survive or lies past the remap.
+pub fn image(remap: &[Option<Lit>], l: Lit) -> Option<Lit> {
+    remap
+        .get(l.node().index())
+        .copied()
+        .flatten()
+        .map(|r| r.xor_neg(l.is_neg()))
+}
+
+/// Structural equality of a new node against its old preimage, with the
+/// old fanins carried through the remapping (unordered, since strash may
+/// normalize fanin order).
+pub fn struct_eq(new: &Node, old: &Node, remap: &[Option<Lit>]) -> bool {
+    match (new, old) {
+        (Node::Const0, Node::Const0) => true,
+        (Node::Input(a), Node::Input(b)) => a == b,
+        (Node::And(a, b), Node::And(oa, ob)) => {
+            let (Some(ia), Some(ib)) = (image(remap, *oa), image(remap, *ob)) else {
+                return false;
+            };
+            (ia == *a && ib == *b) || (ia == *b && ib == *a)
+        }
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -114,6 +114,12 @@ pub use node::{Node, NodeId};
 pub use patch::PatchLog;
 pub use topo::Fanouts;
 
+/// Helpers over the old-node → new-literal remapping [`Aig::cleanup`]
+/// returns, for caches that carry state across a cleanup.
+pub mod remap {
+    pub use crate::edit::{image, struct_eq};
+}
+
 /// Cone-analysis helpers: transitive fanin/fanout, distances, MFFCs.
 pub mod cone {
     pub use crate::cone_impl::{

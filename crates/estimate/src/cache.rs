@@ -23,6 +23,7 @@
 //! the remapping are harmless because Boolean-difference masks are
 //! polarity independent.
 
+use aig::remap::{image, struct_eq};
 use aig::{Aig, Fanouts, Lit, Node, NodeId};
 use bitsim::{word_mask, ConeSimulator, ConeTopology, Sim};
 use parkit::ScratchPool;
@@ -124,15 +125,6 @@ pub struct MaskCache {
     pool: DevPool,
     /// One cone simulator per mask-building worker, kept across rolls.
     cones: ScratchPool<ConeSimulator>,
-}
-
-/// The image of an old-revision literal under the cleanup remapping.
-fn image(remap: &[Option<Lit>], l: Lit) -> Option<Lit> {
-    remap
-        .get(l.node().index())
-        .copied()
-        .flatten()
-        .map(|r| Lit::new(r.node(), r.is_neg() ^ l.is_neg()))
 }
 
 impl MaskCache {
@@ -417,22 +409,5 @@ impl MaskCache {
     pub(crate) fn note_lookups(&mut self, hits: usize, misses: usize) {
         self.stats.hits += hits;
         self.stats.misses += misses;
-    }
-}
-
-/// Structural equality of a new node against its old preimage, with the
-/// old fanins carried through the remapping (unordered, since strash may
-/// normalize fanin order).
-fn struct_eq(new: &Node, old: &Node, remap: &[Option<Lit>]) -> bool {
-    match (new, old) {
-        (Node::Const0, Node::Const0) => true,
-        (Node::Input(a), Node::Input(b)) => a == b,
-        (Node::And(a, b), Node::And(oa, ob)) => {
-            let (Some(ia), Some(ib)) = (image(remap, *oa), image(remap, *ob)) else {
-                return false;
-            };
-            (ia == *a && ib == *b) || (ia == *b && ib == *a)
-        }
-        _ => false,
     }
 }

@@ -32,7 +32,8 @@
 //! candidate store. [`BatchEstimator::score_all`] scores each one exactly
 //! ([`errmetrics::ErrorEval::with_masked_rows`], or ER's
 //! [`errmetrics::ErrorEval::er_with_deviation`]), and
-//! [`BatchEstimator::score_topk`] hands each one to
+//! [`BatchEstimator::score_topk`] runs one loop that hands each one to
+//! the same ER scorer or, for every other metric, to
 //! [`errmetrics::ErrorEval::masked_rows_bounded`], which picks the
 //! scoring kernel itself. Every per-candidate value is computed
 //! independently and written to its input slot, so results are
@@ -439,11 +440,11 @@ impl<'a> BatchEstimator<'a> {
 
     /// Scores only the candidates that can enter the top `k` by `ΔE`.
     ///
-    /// Returns the exactly-scored candidates sorted by
-    /// `(ΔE, gain desc, target node)` — the same tie-break the flow's
-    /// top-set selection uses — plus pruning statistics. Candidates with
-    /// `gain <= 0` are filtered out first (gain needs no error work),
-    /// so the result compares against the dense
+    /// Returns every candidate whose `ΔE` is at or below the k-th
+    /// smallest, sorted by [`ScoredLac::flow_order`] — the same order the
+    /// flow's top-set selection uses — plus scoring statistics.
+    /// Candidates with `gain <= 0` are filtered out first (gain needs no
+    /// error work), so the result compares against the dense
     /// [`BatchEstimator::score_all`] output after its own `gain > 0`
     /// retain.
     ///
@@ -451,8 +452,8 @@ impl<'a> BatchEstimator<'a> {
     /// bit-identical (members, `ΔE` bits, order) to the dense sorted
     /// list, where `t` covers every candidate whose `ΔE` is `<=` the
     /// `k'`-th smallest — in particular all ties at the k-th value are
-    /// scored exactly, so downstream `r_min` tie-counting sees them.
-    /// This holds at any thread count; only the exact/pruned
+    /// returned, so downstream `r_min` tie-counting sees them. The
+    /// result holds at any thread count; only the exact/pruned
     /// *counters* are schedule-dependent.
     ///
     /// `devs` holds one deviation mask per candidate, e.g. from
@@ -479,145 +480,91 @@ impl<'a> BatchEstimator<'a> {
         let store = self.cache.get();
         let dev_pool = self.cache.get().dev_pool();
         let t_score = Instant::now();
-
-        // ER short-circuit: its sparse exact fold is cheaper than any
-        // bound bookkeeping (the bound machinery used to *lose* to the
-        // dense path here), so score every retained candidate exactly —
-        // gain filter fused into the sparse scoring pass — then keep only the
-        // top k (plus ties) by a linear select. Bit-identity with the
-        // dense sorted head is trivial: every returned `ΔE` is the
-        // exact fold.
-        if eval.kind() == MetricKind::Er {
-            let e1s = self.er_unions(&targets);
-            let chunk = cands.len().div_ceil(pool.threads() * 4).max(1);
-            let parts: Vec<Vec<(u32, f64)>> =
-                pool.par_chunk_results(cands.len(), chunk, |_, range| {
-                    range
-                        .filter_map(|ci| {
-                            let lac = &cands[ci];
-                            let slot = slot_of[&lac.tn] as usize;
-                            if mffcs[slot] - lac.new_node_cost() as i64 <= 0 {
-                                return None;
-                            }
-                            let d = devs[ci];
-                            let e_new = eval.er_with_deviation(d.words, d.bits, &e1s[slot]);
-                            Some((ci as u32, e_new - current))
-                        })
-                        .collect()
-                });
-            let mut all: Vec<(u32, f64)> = parts.into_iter().flatten().collect();
-            let n_candidates = all.len();
-            if n_candidates == 0 {
-                self.phases.score_ms += t_score.elapsed().as_secs_f64() * 1e3;
-                return (Vec::new(), TopkStats::default());
-            }
-            // The k-th smallest `ΔE` in O(n); keeping everything `<=` it
-            // preserves every tie at the k-th value, so the sorted head
-            // matches the dense list for any k' <= k. (select_nth may
-            // reorder `all`, which is harmless: the final sort's last
-            // key is the input index carried in the tuple.)
-            if all.len() > k {
-                let (_, kth, _) =
-                    all.select_nth_unstable_by(k - 1, |a, b| f64::total_cmp(&a.1, &b.1));
-                let kth = kth.1;
-                all.retain(|p| p.1 <= kth);
-            }
-            let mut picked: Vec<(u32, ScoredLac)> = all
-                .into_iter()
-                .map(|(ci, delta)| {
-                    let lac = &cands[ci as usize];
-                    let slot = slot_of[&lac.tn] as usize;
-                    let scored = ScoredLac {
-                        lac: *lac,
-                        delta_e: delta,
-                        gain: mffcs[slot] - lac.new_node_cost() as i64,
-                    };
-                    (ci, scored)
-                })
-                .collect();
-            sort_flow_order(&mut picked);
-            let n_exact = picked.len();
-            let scored: Vec<ScoredLac> = picked.into_iter().map(|(_, s)| s).collect();
-            self.phases.score_ms += t_score.elapsed().as_secs_f64() * 1e3;
-            let stats = TopkStats {
-                n_candidates,
-                n_exact,
-                n_pruned: n_candidates - n_exact,
-            };
-            return (scored, stats);
-        }
+        let gain = |lac: &Lac| mffcs[slot_of[&lac.tn] as usize] - lac.new_node_cost() as i64;
 
         // Gain is pure MFFC bookkeeping — filter `gain <= 0` before any
         // error work so the threshold only ever competes over candidates
         // the flow could select.
-        let order: Vec<u32> = (0..cands.len() as u32)
-            .filter(|&ci| {
-                let lac = &cands[ci as usize];
-                mffcs[slot_of[&lac.tn] as usize] - lac.new_node_cost() as i64 > 0
-            })
+        let mut order: Vec<u32> = (0..cands.len() as u32)
+            .filter(|&ci| gain(&cands[ci as usize]) > 0)
             .collect();
         let n_candidates = order.len();
-        if n_candidates == 0 {
-            self.phases.score_ms += t_score.elapsed().as_secs_f64() * 1e3;
-            return (Vec::new(), TopkStats::default());
-        }
 
-        // Cheap proxy: fewer deviating patterns usually means a smaller
-        // error increase, so scoring those first seeds the shared
-        // threshold near its final value and later candidates prune
-        // early. Stable sort keeps the schedule deterministic;
-        // correctness never depends on this order.
-        let mut order = order;
-        order.sort_by_cached_key(|&ci| {
-            let bits = devs[ci as usize].bits;
-            bitsim::popcount(bits, bits.len() * 64)
-        });
+        // ER scores exactly from per-target union diffs and never
+        // prunes, so its scoring order buys nothing. For the other
+        // metrics, fewer deviating patterns usually means a smaller
+        // error increase: scoring those first seeds the shared threshold
+        // near its final value and later candidates prune early. The
+        // stable sort keeps the schedule deterministic; correctness
+        // never depends on this order.
+        let er = eval.kind() == MetricKind::Er;
+        let e1s = if er {
+            self.er_unions(&targets)
+        } else {
+            order.sort_by_cached_key(|&ci| {
+                let bits = devs[ci as usize].bits;
+                bitsim::popcount(bits, bits.len() * 64)
+            });
+            Vec::new()
+        };
 
-        // The evaluator picks the kernel (integer word kernel, per-
-        // pattern fold, or WCE's exact fold, which never prunes).
+        // The evaluator picks the bounded kernel (integer word kernel,
+        // per-pattern fold, or WCE's exact fold, which never prunes).
         let thr = TopkThreshold::new(k, self.unsound_bound);
         let chunk = order.len().div_ceil(pool.threads() * 8).max(1);
-        let exact: Vec<Vec<(u32, f64)>> = pool.par_chunk_results(order.len(), chunk, |_, range| {
-            let mut buf = dev_pool.checkout();
-            let mut out = Vec::new();
-            for oi in range {
-                let ci = order[oi] as usize;
-                let d = devs[ci];
-                let entry = store.get(cands[ci].tn).expect("mask entry was just built");
-                let res = eval.masked_rows_bounded(
-                    d.words,
-                    d.bits,
-                    &entry.outs,
-                    &entry.masks,
-                    &mut buf.suffix,
-                    current,
-                    |lb| lb > thr.get(),
-                );
-                if let BoundedScore::Exact(e_new) = res {
-                    thr.offer(e_new - current);
-                    out.push((ci as u32, e_new));
+        let exact: Vec<Vec<(u32, ScoredLac)>> =
+            pool.par_chunk_results(order.len(), chunk, |_, range| {
+                let mut buf = dev_pool.checkout();
+                let mut out = Vec::new();
+                for oi in range {
+                    let ci = order[oi] as usize;
+                    let (lac, d) = (&cands[ci], devs[ci]);
+                    let res = if er {
+                        let e1 = &e1s[slot_of[&lac.tn] as usize];
+                        BoundedScore::Exact(eval.er_with_deviation(d.words, d.bits, e1))
+                    } else {
+                        let entry = store.get(lac.tn).expect("mask entry was just built");
+                        eval.masked_rows_bounded(
+                            d.words,
+                            d.bits,
+                            &entry.outs,
+                            &entry.masks,
+                            &mut buf.suffix,
+                            current,
+                            |lb| lb > thr.get(),
+                        )
+                    };
+                    if let BoundedScore::Exact(e_new) = res {
+                        let delta_e = e_new - current;
+                        thr.offer(delta_e);
+                        let scored = ScoredLac {
+                            lac: *lac,
+                            delta_e,
+                            gain: gain(lac),
+                        };
+                        out.push((ci as u32, scored));
+                    }
                 }
-            }
-            dev_pool.restore(buf);
-            out
-        });
+                dev_pool.restore(buf);
+                out
+            });
 
-        let mut picked: Vec<(u32, ScoredLac)> = exact
-            .into_iter()
-            .flatten()
-            .map(|(ci, e_new)| {
-                let lac = &cands[ci as usize];
-                let slot = slot_of[&lac.tn] as usize;
-                let scored = ScoredLac {
-                    lac: *lac,
-                    delta_e: e_new - current,
-                    gain: mffcs[slot] - lac.new_node_cost() as i64,
-                };
-                (ci, scored)
-            })
-            .collect();
-        sort_flow_order(&mut picked);
+        let mut picked: Vec<(u32, ScoredLac)> = exact.into_iter().flatten().collect();
         let n_exact = picked.len();
+        // The k-th smallest `ΔE` in O(n); keeping everything `<=` it
+        // preserves every tie at the k-th value, so the sorted head
+        // matches the dense list for any k' <= k. Every candidate at or
+        // below the final threshold was scored exactly, so the exact
+        // set's k-th value is the population's.
+        if picked.len() > k {
+            let (_, kth, _) =
+                picked.select_nth_unstable_by(k - 1, |a, b| a.1.delta_e.total_cmp(&b.1.delta_e));
+            let kth = kth.1.delta_e;
+            picked.retain(|p| p.1.delta_e <= kth);
+        }
+        // The input index is the last key, so the order is total even
+        // between identical LACs (and undoes `select_nth`'s shuffle).
+        picked.sort_by(|(ia, a), (ib, b)| a.flow_order(b).then(ia.cmp(ib)));
         let scored: Vec<ScoredLac> = picked.into_iter().map(|(_, s)| s).collect();
         self.phases.score_ms += t_score.elapsed().as_secs_f64() * 1e3;
         let stats = TopkStats {
@@ -627,20 +574,6 @@ impl<'a> BatchEstimator<'a> {
         };
         (scored, stats)
     }
-}
-
-/// The flow's tie-break `(ΔE, gain desc, target node)`, plus input
-/// index as the final key so the order is total even between identical
-/// LACs.
-fn sort_flow_order(picked: &mut [(u32, ScoredLac)]) {
-    picked.sort_by(|(ia, a), (ib, b)| {
-        a.delta_e
-            .partial_cmp(&b.delta_e)
-            .expect("ΔE is never NaN")
-            .then(b.gain.cmp(&a.gain))
-            .then(a.lac.tn.cmp(&b.lac.tn))
-            .then(ia.cmp(ib))
-    });
 }
 
 /// Packs per-output flip rows into a [`MaskEntry`], keeping only the
@@ -911,12 +844,22 @@ mod tests {
                 let dense = dense_sorted(BatchEstimator::new(&g, &sim, &eval).score_all(&cands));
                 assert!(!dense.is_empty());
                 for &k in &[1usize, 3, 8, 64, dense.len() + 100] {
+                    let kth = dense[k.min(dense.len()) - 1].delta_e;
                     for &pool in &pools {
                         let (topk, st) = BatchEstimator::new(&g, &sim, &eval)
                             .use_pool(pool)
                             .score_topk(&cands, &dev_views, k);
                         assert_eq!(st.n_candidates, dense.len(), "{at}: population differs");
                         assert_eq!(st.n_exact + st.n_pruned, st.n_candidates);
+                        if matches!(kind, MetricKind::Er | MetricKind::Wce) {
+                            // Their scorers are exact and never prune.
+                            assert_eq!(st.n_exact, st.n_candidates, "{at}, k={k}");
+                            assert_eq!(st.n_pruned, 0, "{at}, k={k}");
+                        }
+                        assert!(
+                            topk.iter().all(|s| s.delta_e <= kth),
+                            "{at}, k={k}: a returned ΔE exceeds the dense k-th value {kth}"
+                        );
                         assert_topk_prefix(&dense, &topk, k);
                     }
                 }

@@ -11,8 +11,9 @@
 //! one-line repro printed, and the process exits nonzero. With
 //! `--repro`, replays exactly one case from its repro line. `--smoke`
 //! is the fixed CI configuration (pinned seed, small iteration count);
-//! it also fails unless its top-k checks reached both bounded scoring
-//! kernels, the integer word kernel and the per-pattern fold.
+//! it also fails unless its top-k checks reached all three scoring
+//! kernels: the integer word kernel, the per-pattern fold, and the
+//! exact ER/WCE scorers.
 
 use std::process::ExitCode;
 
@@ -114,12 +115,13 @@ fn main() -> ExitCode {
     }
 
     let mut ran = 0u64;
-    let (mut word_kernel, mut pattern_kernel) = (0usize, 0usize);
+    let (mut word_kernel, mut pattern_kernel, mut exact) = (0usize, 0usize, 0usize);
     let failure = fuzzkit::soak(args.seed, args.iters, args.fault, |i, outcome| {
         ran = i + 1;
         if let Ok(stats) = outcome {
             word_kernel += stats.topk_word_kernel;
             pattern_kernel += stats.topk_pattern_kernel;
+            exact += stats.topk_exact;
             if !args.quiet && (i + 1) % 50 == 0 {
                 println!("  ... {} cases clean", i + 1);
             }
@@ -132,11 +134,11 @@ fn main() -> ExitCode {
                 args.seed, args.fault
             );
             println!(
-                "fuzzkit: top-k checks by bounded kernel: {word_kernel} integer word, \
-                 {pattern_kernel} per-pattern"
+                "fuzzkit: top-k checks by scoring kernel: {word_kernel} integer word, \
+                 {pattern_kernel} per-pattern, {exact} exact (ER/WCE)"
             );
-            if args.smoke && (word_kernel == 0 || pattern_kernel == 0) {
-                println!("fuzzkit: the smoke run must reach both top-k scoring kernels");
+            if args.smoke && (word_kernel == 0 || pattern_kernel == 0 || exact == 0) {
+                println!("fuzzkit: the smoke run must reach all three top-k scoring kernels");
                 return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS

@@ -101,6 +101,9 @@ pub struct CaseStats {
     /// Top-k scoring checks whose bounded replay ran on the per-pattern
     /// fold (MRED, MSE, and MED/NMED beyond the limit).
     pub topk_pattern_kernel: usize,
+    /// Top-k scoring checks on the exact scorers that never prune (ER's
+    /// union fold, WCE's fused fold).
+    pub topk_exact: usize,
 }
 
 /// The thread counts every scoring comparison runs at.
@@ -348,9 +351,11 @@ impl<'c> Driver<'c> {
             let (topk, st) = est.score_topk(&fresh, &devs, k);
             check("stored masks at 2 threads".to_string(), topk, st)?;
             let checks = THREADS.len() + 1;
-            if eval.word_kernel_eligible() {
+            if matches!(self.kind, MetricKind::Er | MetricKind::Wce) {
+                self.stats.topk_exact += checks;
+            } else if eval.word_kernel_eligible() {
                 self.stats.topk_word_kernel += checks;
-            } else if !matches!(self.kind, MetricKind::Er | MetricKind::Wce) {
+            } else {
                 self.stats.topk_pattern_kernel += checks;
             }
         }

@@ -60,6 +60,23 @@ pub struct ScoredLac {
     pub gain: i64,
 }
 
+impl ScoredLac {
+    /// The flow's candidate order: ascending `ΔE`, then descending
+    /// gain, then target node. The top-k scorer returns its list in this
+    /// order and the top-set selection sorts by it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either `ΔE` is NaN.
+    pub fn flow_order(&self, other: &ScoredLac) -> std::cmp::Ordering {
+        self.delta_e
+            .partial_cmp(&other.delta_e)
+            .expect("ΔE is never NaN")
+            .then(other.gain.cmp(&self.gain))
+            .then(self.lac.tn.cmp(&other.lac.tn))
+    }
+}
+
 /// Errors from applying a LAC.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApplyError {

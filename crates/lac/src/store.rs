@@ -65,6 +65,7 @@
 
 use crate::gen::{build_pool, sig_key, CandidateConfig, GenCounters, GenCtx, GenScratch, NodeGen};
 use crate::kinds::{Lac, LacKind};
+use aig::remap::{image, struct_eq};
 use aig::{Aig, Fanouts, Lit, Node, NodeId};
 use bitsim::Sim;
 use parkit::ThreadPool;
@@ -411,15 +412,6 @@ pub struct CandidateStore {
     /// Test-support fault injection: ignore the window mask at
     /// emission. See [`CandidateStore::inject_window_leak`].
     window_leak: bool,
-}
-
-/// The image of an old-revision literal under the cleanup remapping.
-fn image(remap: &[Option<Lit>], l: Lit) -> Option<Lit> {
-    remap
-        .get(l.node().index())
-        .copied()
-        .flatten()
-        .map(|r| Lit::new(r.node(), r.is_neg() ^ l.is_neg()))
 }
 
 /// Positive (non-negated) node image, or `None`.
@@ -986,23 +978,6 @@ impl CandidateStore {
     #[doc(hidden)]
     pub fn inject_window_leak(&mut self, on: bool) {
         self.window_leak = on;
-    }
-}
-
-/// Structural equality of a new node against its old preimage, with the
-/// old fanins carried through the remapping (unordered, since strash
-/// may normalize fanin order).
-fn struct_eq(new: &Node, old: &Node, remap: &[Option<Lit>]) -> bool {
-    match (new, old) {
-        (Node::Const0, Node::Const0) => true,
-        (Node::Input(a), Node::Input(b)) => a == b,
-        (Node::And(a, b), Node::And(oa, ob)) => {
-            let (Some(ia), Some(ib)) = (image(remap, *oa), image(remap, *ob)) else {
-                return false;
-            };
-            (ia == *a && ib == *b) || (ia == *b && ib == *a)
-        }
-        _ => false,
     }
 }
 

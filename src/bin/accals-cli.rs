@@ -164,6 +164,17 @@ fn cmd_synth(args: &[String]) -> Result<(), Box<dyn Error>> {
     let flow = opt(args, "flow").unwrap_or_else(|| "accals".to_string());
     let seed: u64 = opt(args, "seed").map_or(Ok(0xACC_A15), |s| s.parse())?;
     let golden = load(&input)?;
+    if golden.n_pos() == 0 {
+        return Err(format!("`{input}` has no outputs, so there is no error to bound").into());
+    }
+    if metric.is_arithmetic() && golden.n_pos() > 128 {
+        return Err(format!(
+            "--metric {metric} reads the outputs as one integer of at most 128 bits, \
+             but `{input}` has {} outputs",
+            golden.n_pos()
+        )
+        .into());
+    }
     let lib = Library::mcnc_mini();
     let before = map(&golden, &lib, MapMode::Area);
 
