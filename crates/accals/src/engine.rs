@@ -45,7 +45,7 @@ use crate::trace::RoundTrace;
 use crate::trial::{TrialEval, TrialMeasure};
 use crate::window::WindowState;
 use crate::{AccalsConfig, SynthesisResult};
-use aig::{Aig, Lit, NodeId};
+use aig::{Aig, Lit};
 use bitsim::{simulate, simulate_into, ConeTopology, PatchSimulator, Patterns, Sim};
 use errmetrics::{error, ErrorEval, MetricKind};
 use estimate::{BatchEstimator, MaskCache};
@@ -157,15 +157,6 @@ pub(crate) struct RoundShared {
     trace: RoundTrace,
 }
 
-/// The identity remap over `n` nodes: rolls a cache "forward" without
-/// moving anything — used when a new round starts from an unchanged
-/// circuit revision (windowed retries).
-fn identity_remap(n: usize) -> Vec<Option<Lit>> {
-    (0..n)
-        .map(|i| Some(Lit::new(NodeId::new(i), false)))
-        .collect()
-}
-
 /// Runs the shared phases of one round — simulate, rebase the
 /// evaluator, select the round window (when configured), generate
 /// candidates through the store, build masks, and score — mutating
@@ -190,7 +181,7 @@ pub(crate) fn prepare_round(
     // later attempts roll it through the identity instead.
     let pending = caches.last_remap.take();
     let identity: Vec<Option<Lit>> = if cfg.window.is_some() {
-        identity_remap(current.n_nodes())
+        aig::remap::identity(current.n_nodes())
     } else {
         Vec::new()
     };
@@ -703,8 +694,10 @@ impl FlowInstance {
     ///
     /// # Panics
     ///
-    /// Panics if a configuration parameter is out of range or `pats`
-    /// does not cover `golden.n_pis()` inputs.
+    /// Panics if a configuration parameter is out of range, if `pats`
+    /// does not cover `golden.n_pis()` inputs, if `golden` has no
+    /// outputs, or if an arithmetic metric is asked for over more than
+    /// 128 outputs.
     pub fn new(
         cfg: AccalsConfig,
         pool: &'static ThreadPool,
@@ -725,6 +718,13 @@ impl FlowInstance {
     /// Like [`FlowInstance::new`], but with precomputed golden output
     /// signatures — sweep engines share one simulation of the golden
     /// circuit across every instance over the same pattern set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a configuration parameter is out of range. The
+    /// outputs are not checked here: [`FlowInstance::caches`] panics
+    /// when `golden` has none or when an arithmetic metric is asked for
+    /// over more than 128.
     pub fn with_shared(
         cfg: AccalsConfig,
         pool: &'static ThreadPool,
@@ -760,6 +760,11 @@ impl FlowInstance {
     }
 
     /// Fresh caches matching this instance's metric and sample shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the golden circuit has no outputs, or if the metric is
+    /// arithmetic and the circuit has more than 128 outputs.
     pub fn caches(&self) -> FlowCaches {
         FlowCaches::new(self.cfg.metric, &self.golden_sigs, self.pats.n_patterns())
     }
@@ -1050,7 +1055,7 @@ fn step_cohort_impl(
             Some(c) => c.remap.clone(),
             // Retry branch: the base circuit is unchanged, so its
             // caches roll through the identity.
-            None => identity_remap(base_nodes),
+            None => aig::remap::identity(base_nodes),
         };
         if gi == 0 {
             // The first group keeps the shared caches; its remap is

@@ -95,48 +95,6 @@ impl SynthesisResult {
             }
         )
     }
-
-    /// Serializes the per-round trace as CSV (header + one line per
-    /// round), for offline analysis of a synthesis run.
-    pub fn trace_csv(&self) -> String {
-        let mut s = String::from(
-            "round,single_mode,n_candidates,r_top,n_sol,n_indp,n_rand,chose_indp,applied,dropped_cycle,reverted,e_before,e_after,e_est,n_ands_after,scored_exact,scored_pruned,candgen_ms,mask_ms,score_ms,select_ms,trial_ms,commit_ms,candgen_probe_draws,candgen_strip_cmps,candgen_pool_hits,candgen_pool_misses,window_targets\n",
-        );
-        for t in &self.rounds {
-            s.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{}\n",
-                t.round,
-                t.single_mode,
-                t.n_candidates,
-                t.r_top,
-                t.n_sol,
-                t.n_indp,
-                t.n_rand,
-                t.chose_indp,
-                t.applied,
-                t.dropped_cycle,
-                t.reverted,
-                t.e_before,
-                t.e_after,
-                t.e_est,
-                t.n_ands_after,
-                t.scored_exact,
-                t.scored_pruned,
-                t.candgen_ms,
-                t.mask_ms,
-                t.score_ms,
-                t.select_ms,
-                t.trial_ms,
-                t.commit_ms,
-                t.candgen_probe_draws,
-                t.candgen_strip_cmps,
-                t.candgen_pool_hits,
-                t.candgen_pool_misses,
-                t.window_targets
-            ));
-        }
-        s
-    }
 }
 
 impl Accals {
@@ -171,7 +129,8 @@ impl Accals {
     ///
     /// # Panics
     ///
-    /// Panics if `golden` has no outputs or is cyclic.
+    /// Panics if `golden` has no outputs, is cyclic, or has more than
+    /// 128 outputs under an arithmetic metric.
     pub fn synthesize(&self, golden: &Aig) -> SynthesisResult {
         let pats = Patterns::for_circuit(
             golden.n_pis(),
@@ -189,7 +148,8 @@ impl Accals {
     ///
     /// # Panics
     ///
-    /// Panics if `pats` does not cover `golden.n_pis()` inputs.
+    /// Panics if `pats` does not cover `golden.n_pis()` inputs, and in
+    /// the cases [`Accals::synthesize`] lists.
     pub fn synthesize_with_patterns(&self, golden: &Aig, pats: &Patterns) -> SynthesisResult {
         let (mut flow, mut caches) =
             FlowInstance::new(self.cfg.clone(), self.pool, golden, Arc::new(pats.clone()));
@@ -276,45 +236,21 @@ mod tests {
         let summary = result.summary();
         assert!(summary.contains("AND gates"));
         assert!(summary.contains("rounds"));
-        let csv = result.trace_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), result.rounds.len() + 1);
-        let cols = lines[0].split(',').count();
-        for l in &lines[1..] {
-            assert_eq!(l.split(',').count(), cols, "ragged CSV row: {l}");
-        }
     }
 
     fn trace(round: usize, single_mode: bool, chose_indp: bool, reverted: bool) -> RoundTrace {
         RoundTrace {
             round,
             single_mode,
-            n_candidates: 10,
-            r_top: 5,
-            n_sol: 4,
-            n_indp: 3,
-            n_rand: 3,
             chose_indp,
-            applied: 2,
-            dropped_cycle: 0,
             reverted,
-            e_before: 0.01,
-            e_after: 0.02,
-            e_est: 0.015,
-            n_ands_after: 30,
-            scored_exact: 8,
-            scored_pruned: 2,
             candgen_ms: 1.0,
             mask_ms: 2.0,
             score_ms: 3.0,
             select_ms: 4.0,
             trial_ms: 5.0,
             commit_ms: 6.0,
-            candgen_probe_draws: 7,
-            candgen_strip_cmps: 8,
-            candgen_pool_hits: 9,
-            candgen_pool_misses: 10,
-            window_targets: 0,
+            ..RoundTrace::default()
         }
     }
 
@@ -329,50 +265,6 @@ mod tests {
             runtime: Duration::from_millis(12),
             initial_ands: 4,
             n_patterns: 64,
-        }
-    }
-
-    #[test]
-    fn trace_csv_header_is_exactly_the_round_trace_fields() {
-        let result = synthetic_result(vec![trace(0, false, true, false)]);
-        let csv = result.trace_csv();
-        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
-        assert_eq!(
-            header,
-            [
-                "round",
-                "single_mode",
-                "n_candidates",
-                "r_top",
-                "n_sol",
-                "n_indp",
-                "n_rand",
-                "chose_indp",
-                "applied",
-                "dropped_cycle",
-                "reverted",
-                "e_before",
-                "e_after",
-                "e_est",
-                "n_ands_after",
-                "scored_exact",
-                "scored_pruned",
-                "candgen_ms",
-                "mask_ms",
-                "score_ms",
-                "select_ms",
-                "trial_ms",
-                "commit_ms",
-                "candgen_probe_draws",
-                "candgen_strip_cmps",
-                "candgen_pool_hits",
-                "candgen_pool_misses",
-                "window_targets",
-            ]
-        );
-        // Every row has exactly as many fields as the header.
-        for l in csv.lines().skip(1) {
-            assert_eq!(l.split(',').count(), header.len(), "ragged row: {l}");
         }
     }
 

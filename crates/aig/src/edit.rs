@@ -183,6 +183,14 @@ pub fn image(remap: &[Option<Lit>], l: Lit) -> Option<Lit> {
         .map(|r| r.xor_neg(l.is_neg()))
 }
 
+/// The identity remapping over `n` nodes: every node keeps its id and
+/// polarity. Rolls a cache forward across a revision that moved nothing.
+pub fn identity(n: usize) -> Vec<Option<Lit>> {
+    (0..n)
+        .map(|i| Some(Lit::new(NodeId::new(i), false)))
+        .collect()
+}
+
 /// Structural equality of a new node against its old preimage, with the
 /// old fanins carried through the remapping (unordered, since strash may
 /// normalize fanin order).

@@ -117,7 +117,7 @@ pub use topo::Fanouts;
 /// Helpers over the old-node → new-literal remapping [`Aig::cleanup`]
 /// returns, for caches that carry state across a cleanup.
 pub mod remap {
-    pub use crate::edit::{image, struct_eq};
+    pub use crate::edit::{identity, image, struct_eq};
 }
 
 /// Cone-analysis helpers: transitive fanin/fanout, distances, MFFCs.

@@ -84,7 +84,8 @@ impl Seals {
     ///
     /// # Panics
     ///
-    /// Panics if `golden` has no outputs or is cyclic.
+    /// Panics if `golden` has no outputs, is cyclic, or has more than
+    /// 128 outputs under an arithmetic metric.
     pub fn synthesize(&self, golden: &Aig) -> SealsResult {
         let cfg = &self.cfg;
         let start = Instant::now();

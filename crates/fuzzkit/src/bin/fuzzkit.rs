@@ -1,10 +1,11 @@
 //! Soak runner for the differential fuzzer.
 //!
 //! ```text
-//! fuzzkit [--seed 0xHEX] [--iters N]
-//!         [--fault none|store-fanout|store-arena|topk-bound|sweep-stale-fork]
+//! fuzzkit [--seed 0xHEX] [--iters N] [--fault NAME]
 //!         [--repro '<line>'] [--smoke] [--quiet]
 //! ```
+//!
+//! `--fault` takes a [`Fault::name`]; `--help` lists them.
 //!
 //! Without `--repro`, runs `--iters` randomized cases from the seed
 //! stream; on the first oracle violation the case is shrunk and the
@@ -54,16 +55,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --iters: {e}"))?;
             }
-            "--fault" => {
-                args.fault = match value("--fault")?.as_str() {
-                    "none" => Fault::None,
-                    "store-fanout" => Fault::StoreSkipFanout,
-                    "store-arena" => Fault::StoreStaleArena,
-                    "topk-bound" => Fault::TopkLooseBound,
-                    "sweep-stale-fork" => Fault::SweepStaleFork,
-                    other => return Err(format!("unknown fault `{other}`")),
-                };
-            }
+            "--fault" => args.fault = value("--fault")?.parse()?,
             "--repro" => args.repro = Some(value("--repro")?),
             "--smoke" => {
                 args.seed = SMOKE_SEED;
@@ -73,9 +65,9 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: fuzzkit [--seed 0xHEX] [--iters N] \
-                     [--fault none|store-fanout|store-arena|topk-bound|sweep-stale-fork] \
-                     [--repro '<line>'] [--smoke] [--quiet]"
+                    "usage: fuzzkit [--seed 0xHEX] [--iters N] [--fault {}] \
+                     [--repro '<line>'] [--smoke] [--quiet]",
+                    Fault::ALL.map(Fault::name).join("|")
                 );
                 std::process::exit(0);
             }

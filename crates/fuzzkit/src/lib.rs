@@ -82,6 +82,42 @@ pub enum Fault {
     WindowLeak,
 }
 
+impl Fault {
+    /// Every fault, in declaration order.
+    pub const ALL: [Fault; 6] = [
+        Fault::None,
+        Fault::StoreSkipFanout,
+        Fault::StoreStaleArena,
+        Fault::TopkLooseBound,
+        Fault::SweepStaleFork,
+        Fault::WindowLeak,
+    ];
+
+    /// The fault's name in repro lines and on the `fuzzkit --fault`
+    /// command line; [`FromStr`] parses it back.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fault::None => "none",
+            Fault::StoreSkipFanout => "store-fanout",
+            Fault::StoreStaleArena => "store-arena",
+            Fault::TopkLooseBound => "topk-bound",
+            Fault::SweepStaleFork => "sweep-stale-fork",
+            Fault::WindowLeak => "window-leak",
+        }
+    }
+}
+
+impl FromStr for Fault {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Fault::ALL
+            .into_iter()
+            .find(|f| f.name() == s)
+            .ok_or_else(|| format!("unknown fault `{s}`"))
+    }
+}
+
 /// A self-contained fuzz case: a seed plus the knobs that shape the
 /// circuit and the operation sequence. Everything the driver does is a
 /// pure function of this struct, and its `Display`/`FromStr` round-trip
@@ -121,14 +157,7 @@ impl fmt::Display for FuzzCase {
             Source::Random => "rand".to_string(),
             Source::Bench(k) => format!("bench{k}"),
         };
-        let fault = match self.fault {
-            Fault::None => "none",
-            Fault::StoreSkipFanout => "store-fanout",
-            Fault::StoreStaleArena => "store-arena",
-            Fault::TopkLooseBound => "topk-bound",
-            Fault::SweepStaleFork => "sweep-stale-fork",
-            Fault::WindowLeak => "window-leak",
-        };
+        let fault = self.fault.name();
         write!(
             f,
             "{REPRO_TAG} seed={:#x} src={src} pis={} ands={} ops={} pats={} fault={fault}",
@@ -193,17 +222,7 @@ impl FromStr for FuzzCase {
                 "ands" => case.n_ands = val.parse().map_err(|_| bad("ands"))?,
                 "ops" => case.n_ops = val.parse().map_err(|_| bad("ops"))?,
                 "pats" => case.n_patterns = val.parse().map_err(|_| bad("pats"))?,
-                "fault" => {
-                    case.fault = match val {
-                        "none" => Fault::None,
-                        "store-fanout" => Fault::StoreSkipFanout,
-                        "store-arena" => Fault::StoreStaleArena,
-                        "topk-bound" => Fault::TopkLooseBound,
-                        "sweep-stale-fork" => Fault::SweepStaleFork,
-                        "window-leak" => Fault::WindowLeak,
-                        _ => return Err(bad("fault")),
-                    };
-                }
+                "fault" => case.fault = val.parse().map_err(|_| bad("fault"))?,
                 _ => return Err(ParseCaseError(format!("unknown key `{key}`"))),
             }
         }
@@ -329,6 +348,29 @@ mod tests {
             let line = c.to_string();
             assert_eq!(line.parse::<FuzzCase>().unwrap(), c, "{line}");
         }
+    }
+
+    #[test]
+    fn every_fault_name_round_trips() {
+        // The exhaustive match chains the variants, so a new variant
+        // does not compile until it is placed in the chain, and the walk
+        // then checks that `Fault::ALL` lists it.
+        fn next(f: Fault) -> Option<Fault> {
+            match f {
+                Fault::None => Some(Fault::StoreSkipFanout),
+                Fault::StoreSkipFanout => Some(Fault::StoreStaleArena),
+                Fault::StoreStaleArena => Some(Fault::TopkLooseBound),
+                Fault::TopkLooseBound => Some(Fault::SweepStaleFork),
+                Fault::SweepStaleFork => Some(Fault::WindowLeak),
+                Fault::WindowLeak => None,
+            }
+        }
+        let walked: Vec<Fault> = std::iter::successors(Some(Fault::None), |&f| next(f)).collect();
+        assert_eq!(walked, Fault::ALL);
+        for f in Fault::ALL {
+            assert_eq!(f.name().parse::<Fault>(), Ok(f));
+        }
+        assert!("window_leak".parse::<Fault>().is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::{Arc, OnceLock};
 use accals::conflict::find_solve_conflicts;
 use accals::topset::{obtain_top_set, obtain_top_set_from};
 use accals::{Accals, AccalsConfig, SizeParam, TrialEval, WindowSpec};
-use aig::{Aig, Lit, NodeId};
+use aig::{remap, Aig, Lit, NodeId};
 use bitsim::{simulate, simulate_into, ConeTopology, PatchSimulator, Patterns, Sim};
 use errmetrics::{ErrorEval, MetricKind};
 use estimate::{BatchEstimator, MaskCache};
@@ -114,25 +114,12 @@ fn pools() -> &'static [&'static ThreadPool; 3] {
     POOLS.get_or_init(|| THREADS.map(|t| &*Box::leak(Box::new(ThreadPool::new(t)))))
 }
 
-/// The image of an old-revision literal under a cleanup remapping.
-fn image(remap: &[Option<Lit>], l: Lit) -> Option<Lit> {
-    remap
-        .get(l.node().index())
-        .copied()
-        .flatten()
-        .map(|r| Lit::new(r.node(), r.is_neg() ^ l.is_neg()))
-}
-
 /// Composes two cleanup remaps: `old` (revision A → B) followed by
 /// `new` (B → C) gives A → C. Nodes appended after revision A need no
 /// preimage, so the composed map covers exactly A's table.
 fn compose_remaps(old: &[Option<Lit>], new: &[Option<Lit>]) -> Vec<Option<Lit>> {
-    old.iter().map(|l| l.and_then(|l| image(new, l))).collect()
-}
-
-fn identity_remap(n: usize) -> Vec<Option<Lit>> {
-    (0..n)
-        .map(|i| Some(Lit::new(NodeId::new(i), false)))
+    old.iter()
+        .map(|l| l.and_then(|l| remap::image(new, l)))
         .collect()
 }
 
@@ -245,7 +232,7 @@ impl<'c> Driver<'c> {
                 return Err(self.fail("estimate/threads", format!("fresh at {t} threads: {d}")));
             }
         }
-        let identity = identity_remap(self.current.n_nodes());
+        let identity = remap::identity(self.current.n_nodes());
         for (i, (t, pool)) in THREADS.iter().zip(pools()).enumerate() {
             let remap = if i == 0 {
                 self.last_remap.as_deref()
@@ -709,7 +696,7 @@ impl<'c> Driver<'c> {
             let detail = describe_list_diff(&warm, &full);
             return Err(self.fail("window/store-full", detail));
         }
-        let identity = identity_remap(n_nodes);
+        let identity = remap::identity(n_nodes);
         let stored = self.store.generate(
             &self.current,
             &sim,

@@ -1206,9 +1206,7 @@ mod tests {
             k_wire: 5,
             ..CandidateConfig::default()
         };
-        let identity: Vec<Option<Lit>> = (0..g.n_nodes())
-            .map(|i| Some(Lit::new(NodeId::new(i), false)))
-            .collect();
+        let identity = aig::remap::identity(g.n_nodes());
         let got = store.generate(&g, &sim, &altered, Some(&identity), leaked_pool(1), None);
         assert_eq!(got, generate_candidates(&g, &sim, &altered));
         assert_eq!(store.stats().flushes, 1);

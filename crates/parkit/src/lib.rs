@@ -15,8 +15,6 @@
 //! parallelism) for the shared [`global`] pool; explicit pools take it
 //! from [`ThreadPool::new`].
 
-pub mod steal;
-
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

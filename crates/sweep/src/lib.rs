@@ -25,12 +25,13 @@
 //!   trial and commit results memoized across members. When members
 //!   commit different edits, the shared [`FlowCaches`] are forked at the
 //!   divergence round and the cohort splits into branches.
-//! - **Work stealing.** Cohort rounds are tasks on one
-//!   [`StealQueue`]: per-worker LIFO deques with random FIFO steals, so
-//!   the box saturates whether the job is one big flow or many small
-//!   ones. Intra-flow parallel phases keep their `parkit` pool: when the
-//!   job has fewer instances than threads, the spare threads are handed
-//!   to the instances' own pools instead.
+//! - **One task stack.** Cohort rounds are tasks on one locked LIFO
+//!   stack that every sweep worker pops from; a round pushes its
+//!   successors, and idle workers wait on a condition variable until a
+//!   task arrives or the job is over. Intra-flow parallel phases keep
+//!   their `parkit` pool: when the job has fewer instances than
+//!   threads, the spare threads are handed to the instances' own pools
+//!   instead.
 //! - **A merged Pareto front.** Finished instances stream into a
 //!   deduplicated, dominance-checked [`ParetoFront`] per
 //!   `(circuit, metric)` — minimizing `(area, error)` — surfaced
@@ -42,7 +43,7 @@
 //! Every instance's trajectory (its [`RoundTrace`] sequence), final
 //! circuit, and final error are **bit-identical** to running that
 //! instance alone through [`accals::Accals`], at any worker count, any
-//! steal schedule, and with cache sharing on or off. Only wall-clock,
+//! schedule, and with cache sharing on or off. Only wall-clock,
 //! the diagnostic `shared_rounds` counter, and the *arrival order* of
 //! streamed events vary with the schedule; [`SweepResult`] itself is
 //! deterministic (instances come back in submission order, and
@@ -69,12 +70,14 @@ use accals::{AccalsConfig, FlowCaches, FlowInstance, RoundTrace, SynthesisResult
 use aig::Aig;
 use bitsim::{simulate, Patterns};
 use errmetrics::MetricKind;
-use parkit::steal::{StealQueue, StealWorker};
 use parkit::ThreadPool;
+use stack::TaskStack;
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+mod stack;
 
 /// Environment variable controlling the sweep worker count, the
 /// instance-level analogue of `ACCALS_THREADS` (which sizes the
@@ -161,8 +164,11 @@ impl SweepJob {
     ///
     /// # Panics
     ///
-    /// Panics if a configuration parameter is out of range (same
-    /// validation as [`accals::Accals::new`]).
+    /// Panics if `circuit` was not registered with this job. The
+    /// configuration is not checked here: [`run`] panics on an
+    /// out-of-range parameter (the checks of [`accals::Accals::new`]),
+    /// on a circuit without outputs, and on an arithmetic metric over
+    /// more than 128 outputs.
     pub fn add_instance(&mut self, circuit: CircuitId, cfg: AccalsConfig) -> usize {
         assert!(circuit.0 < self.circuits.len(), "unknown circuit");
         self.specs.push(InstanceSpec {
@@ -209,8 +215,9 @@ pub struct SweepOptions {
     /// Off, every instance runs standalone (still sharing the read-only
     /// golden simulation, which is a pure function of the circuit).
     pub share: bool,
-    /// Seed for the steal-victim streams, for replaying a particular
-    /// scheduler order when debugging.
+    /// No longer affects anything: the sweep schedules its cohorts on
+    /// one shared task stack, which makes no random choices. Kept so
+    /// that existing struct literals still compile.
     pub steal_seed: u64,
     /// Fault injection for the fuzz harness: fork diverging cohorts one
     /// round too late (see [`accals::step_cohort_faulted`]). Breaks the
@@ -560,22 +567,18 @@ pub fn run_traced(
 
     let results: Mutex<Vec<Option<(SynthesisResult, usize)>>> =
         Mutex::new((0..n).map(|_| None).collect());
-    let queue: StealQueue<CohortTask> = StealQueue::new(workers, opts.steal_seed);
-    for (i, t) in tasks.into_iter().enumerate() {
-        queue.push(i, t);
+    let stack = TaskStack::new();
+    for t in tasks {
+        stack.push(t);
     }
     let (tx, rx) = mpsc::channel::<SweepEvent>();
     let stale_fork = opts.stale_fork;
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let mut worker = queue.worker(w);
+        for _ in 0..workers {
             let tx = tx.clone();
-            let results = &results;
+            let (stack, results) = (&stack, &results);
             s.spawn(move || {
-                while let Some(task) = worker.next_task() {
-                    process_cohort(task, &worker, &tx, results, stale_fork);
-                    worker.task_done();
-                }
+                stack.work(|task| process_cohort(task, stack, &tx, results, stale_fork));
             });
         }
         drop(tx);
@@ -656,7 +659,7 @@ pub fn run_traced(
 /// where the cohort split).
 fn process_cohort(
     mut task: CohortTask,
-    worker: &StealWorker<'_, CohortTask>,
+    stack: &TaskStack<CohortTask>,
     tx: &Sender<SweepEvent>,
     results: &Mutex<Vec<Option<(SynthesisResult, usize)>>>,
     stale_fork: bool,
@@ -724,7 +727,7 @@ fn process_cohort(
             branch_flows.push(flows[m].take().expect("continuing member present"));
             shared_rounds.push(task.shared_rounds[m]);
         }
-        worker.push(CohortTask {
+        stack.push(CohortTask {
             ids,
             flows: branch_flows,
             shared_rounds,
@@ -781,34 +784,10 @@ mod tests {
 
     fn rt(applied: usize, e_after: f64, n_ands: usize) -> RoundTrace {
         RoundTrace {
-            round: 0,
-            single_mode: false,
-            n_candidates: 0,
-            r_top: 0,
-            n_sol: 0,
-            n_indp: 0,
-            n_rand: 0,
-            chose_indp: false,
             applied,
-            dropped_cycle: 0,
-            reverted: false,
-            e_before: 0.0,
             e_after,
-            e_est: 0.0,
             n_ands_after: n_ands,
-            scored_exact: 0,
-            scored_pruned: 0,
-            candgen_ms: 0.0,
-            mask_ms: 0.0,
-            score_ms: 0.0,
-            select_ms: 0.0,
-            trial_ms: 0.0,
-            commit_ms: 0.0,
-            candgen_probe_draws: 0,
-            candgen_strip_cmps: 0,
-            candgen_pool_hits: 0,
-            candgen_pool_misses: 0,
-            window_targets: 0,
+            ..RoundTrace::default()
         }
     }
 
@@ -888,6 +867,47 @@ mod tests {
                 .unwrap();
             assert_eq!(front.points()[0].area, min_area);
         }
+    }
+
+    #[test]
+    fn empty_job_returns_at_once() {
+        let res = stack::tests::within(10, || {
+            run(
+                &SweepJob::new(),
+                &SweepOptions {
+                    threads: 4,
+                    ..SweepOptions::default()
+                },
+            )
+        });
+        assert!(res.instances.is_empty());
+        assert!(res.fronts.is_empty());
+    }
+
+    #[test]
+    fn more_workers_than_instances_return_in_submission_order() {
+        use accals::SizeParam;
+        let bounds = [0.1, 0.02];
+        let res = stack::tests::within(60, move || {
+            let mut base = AccalsConfig::new(MetricKind::Er, 0.05);
+            base.r_ref = SizeParam::Fixed(20);
+            base.r_sel = SizeParam::Fixed(4);
+            let mut job = SweepJob::new();
+            let c = job.add_circuit(benchgen::adders::rca(4));
+            job.add_grid(c, &base, &bounds);
+            let opts = SweepOptions {
+                threads: 8,
+                share: false,
+                ..SweepOptions::default()
+            };
+            run(&job, &opts)
+        });
+        let got: Vec<(usize, f64)> = res
+            .instances
+            .iter()
+            .map(|r| (r.instance, r.error_bound))
+            .collect();
+        assert_eq!(got, [(0, bounds[0]), (1, bounds[1])]);
     }
 
     #[test]

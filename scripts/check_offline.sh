@@ -16,6 +16,12 @@ QUICK=0
 echo "== tier-1 (offline): cargo build --release =="
 cargo build --release --workspace --offline
 
+# The benchmark is a workspace of its own over the public APIs; build it
+# here so that an API change that breaks it fails this check rather than
+# the benchmark run.
+echo "== benchmark build (offline): perfbench =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$QUICK" -eq 0 ]; then
     echo "== tier-1 (offline): cargo test -q =="
     cargo test -q --workspace --offline

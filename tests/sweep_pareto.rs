@@ -116,34 +116,10 @@ proptest! {
 /// everything else (timings included) must be ignored by the detector.
 fn rt(applied: usize, e_after: f64, n_ands: usize) -> RoundTrace {
     RoundTrace {
-        round: 0,
-        single_mode: false,
-        n_candidates: 0,
-        r_top: 0,
-        n_sol: 0,
-        n_indp: 0,
-        n_rand: 0,
-        chose_indp: false,
         applied,
-        dropped_cycle: 0,
-        reverted: false,
-        e_before: 0.0,
         e_after,
-        e_est: 0.0,
         n_ands_after: n_ands,
-        scored_exact: 0,
-        scored_pruned: 0,
-        candgen_ms: 0.0,
-        mask_ms: 0.0,
-        score_ms: 0.0,
-        select_ms: 0.0,
-        trial_ms: 0.0,
-        commit_ms: 0.0,
-        candgen_probe_draws: 0,
-        candgen_strip_cmps: 0,
-        candgen_pool_hits: 0,
-        candgen_pool_misses: 0,
-        window_targets: 0,
+        ..RoundTrace::default()
     }
 }
 
