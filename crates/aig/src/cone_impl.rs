@@ -83,7 +83,7 @@ impl BitMask {
 
 dispatched! {
     /// Set bits across `words`.
-    fn count_ones = count_ones_scalar(words: &[u64]) -> usize;
+    fn count_ones, count_ones_on = count_ones_scalar(words: &[u64]) -> usize;
 }
 
 /// Scalar body of [`count_ones`].
@@ -95,7 +95,7 @@ fn count_ones_scalar(words: &[u64]) -> usize {
 dispatched! {
     /// Set bits of `a & b`, word by word. The influence graph's pair
     /// scan calls this once per pair of targets.
-    fn and_count_ones = and_count_ones_scalar(a: &[u64], b: &[u64]) -> usize;
+    fn and_count_ones, and_count_ones_on = and_count_ones_scalar(a: &[u64], b: &[u64]) -> usize;
 }
 
 /// Scalar body of [`and_count_ones`].
@@ -271,16 +271,32 @@ mod tests {
             }
             m
         };
-        for len in [1usize, 63, 64, 65, 1000] {
+        // Lengths in words around one and two 512-bit strips (a partial
+        // last word from two words up), and a few ragged bit lengths.
+        let whole = [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129];
+        let lens = whole.iter().map(|&w| w * 64 - (w > 1) as usize * 5);
+        for len in lens.chain([1, 63, 65, 1000]) {
             let (a, b) = (random_mask(len), random_mask(len));
-            assert_eq!(
-                a.intersection_count(&b),
+            let (and_ref, ones_ref) = (
                 and_count_ones_scalar(&a.words, &b.words),
-                "len={len}"
+                count_ones_scalar(&a.words),
             );
-            assert_eq!(a.count(), count_ones_scalar(&a.words), "len={len}");
+            assert_eq!(a.intersection_count(&b), and_ref, "len={len}");
+            assert_eq!(a.count(), ones_ref, "len={len}");
+            for level in crate::dispatch::Level::supported() {
+                assert_eq!(
+                    and_count_ones_on(level, &a.words, &b.words),
+                    and_ref,
+                    "{level} len={len}"
+                );
+                assert_eq!(
+                    count_ones_on(level, &a.words),
+                    ones_ref,
+                    "{level} len={len}"
+                );
+            }
             let naive = (0..len).filter(|&i| a.get(i) && b.get(i)).count();
-            assert_eq!(a.intersection_count(&b), naive, "len={len}");
+            assert_eq!(and_ref, naive, "len={len}");
         }
     }
 

@@ -43,22 +43,32 @@
 #![deny(unsafe_code)]
 
 /// Defines `$name` as the runtime-dispatched instance of the
-/// `#[inline(always)]` kernel body `$body`.
+/// `#[inline(always)]` kernel body `$body`, and `$on` as the same kernel
+/// on a chosen [`dispatch::Level`].
 ///
-/// The body is written once and instantiated twice: as is, and inside a
-/// `#[target_feature(enable = "popcnt")]` function on `x86_64`. The
-/// generated entry point calls the POPCNT instance when std's cached
-/// `is_x86_feature_detected!("popcnt")` reports the instruction, and
-/// the scalar instance otherwise. A build without `target-cpu` settings
-/// compiles `count_ones` to a software bit-count sequence; the runtime
-/// choice gets the hardware instruction without baking a CPU
-/// requirement into the binary. Both instances compute the same
-/// values, so the scalar body is the test reference.
+/// The body is written once and instantiated three times: as is, inside
+/// a `#[target_feature(enable = "popcnt")]` function, and inside an
+/// x86-64-v4 function (`avx512f`, `avx512bw`, `avx512vl`, `avx512dq`,
+/// `avx512vpopcntdq`, `popcnt`); off `x86_64` only the first exists.
+/// `$name` runs the instance of [`dispatch::level`], the highest level
+/// the CPU supports, detected once and cached, so a call costs one
+/// atomic load and a branch. A build without `target-cpu` settings
+/// compiles `count_ones` to a software bit-count sequence and every
+/// wide-word loop to 64-bit scalar code; the runtime choice gets
+/// `popcnt`, and wherever the compiler vectorizes a wide-word loop,
+/// `vpopcntq` over 512-bit vectors, without baking a CPU requirement
+/// into the binary.
+/// Every instance computes the same values, so the scalar body is the
+/// test reference: tests call `$on` with each of
+/// [`dispatch::Level::supported`].
+///
+/// Argument types may be `impl Trait`: the instances are then generic,
+/// and a closure argument is inlined into each of them.
 ///
 /// ```
 /// aig::dispatched! {
 ///     /// Set bits of `a & b`.
-///     pub fn and_pop = and_pop_scalar(a: u64, b: u64) -> u32;
+///     pub fn and_pop, and_pop_on = and_pop_scalar(a: u64, b: u64) -> u32;
 /// }
 ///
 /// #[inline(always)]
@@ -67,35 +77,59 @@
 /// }
 ///
 /// assert_eq!(and_pop(0b1110, 0b0111), and_pop_scalar(0b1110, 0b0111));
+/// for level in aig::dispatch::Level::supported() {
+///     assert_eq!(and_pop_on(level, 0b1110, 0b0111), 2, "{level}");
+/// }
 /// ```
 #[macro_export]
 macro_rules! dispatched {
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
+        $vis:vis fn $name:ident, $on:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
     ) => {
         $(#[$attr])*
-        #[allow(unsafe_code)]
+        #[inline]
         $vis fn $name($($arg: $ty),*) -> $ret {
+            $on($crate::dispatch::level(), $($arg),*)
+        }
+
+        // `$on` and the instances take the kernel's arguments (plus the
+        // level), however many that is.
+        #[allow(unsafe_code, clippy::too_many_arguments)]
+        #[inline(always)]
+        fn $on(level: $crate::dispatch::Level, $($arg: $ty),*) -> $ret {
             #[cfg(target_arch = "x86_64")]
             {
+                #[target_feature(
+                    enable = "avx512f,avx512bw,avx512vl,avx512dq,avx512vpopcntdq,popcnt"
+                )]
+                #[allow(clippy::too_many_arguments)]
+                fn avx512_instance($($arg: $ty),*) -> $ret {
+                    $body($($arg),*)
+                }
                 #[target_feature(enable = "popcnt")]
+                #[allow(clippy::too_many_arguments)]
                 fn popcnt_instance($($arg: $ty),*) -> $ret {
                     $body($($arg),*)
                 }
-                if std::arch::is_x86_feature_detected!("popcnt") {
-                    // SAFETY: `popcnt_instance` requires only the
-                    // `popcnt` feature, which the running CPU was just
-                    // detected to support.
-                    return unsafe { popcnt_instance($($arg),*) };
+                match level.isa() {
+                    // SAFETY: a `Level` comes only from detection on the
+                    // running CPU, so it has every feature of its
+                    // instance.
+                    $crate::dispatch::Isa::Avx512 => return unsafe { avx512_instance($($arg),*) },
+                    // SAFETY: as above.
+                    $crate::dispatch::Isa::Popcnt => return unsafe { popcnt_instance($($arg),*) },
+                    $crate::dispatch::Isa::Scalar => {}
                 }
             }
+            let _ = level; // the only instance off `x86_64`
             $body($($arg),*)
         }
     };
 }
 
 mod cone_impl;
+pub mod dispatch;
 mod dot;
 mod edit;
 mod error;

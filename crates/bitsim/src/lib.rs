@@ -36,14 +36,15 @@ pub use patch::PatchSimulator;
 pub use patterns::Patterns;
 pub use sim::{simulate, simulate_into, Sim};
 
-/// Runtime POPCNT dispatch for kernel bodies, defined in `aig` (the
-/// lowest crate, so `aig::BitMask` can use it too) and re-exported here
-/// for the crates above `bitsim`.
+/// Runtime instruction-set dispatch for kernel bodies (scalar, POPCNT
+/// and AVX-512 VPOPCNTDQ instances), defined in `aig` (the lowest crate,
+/// so `aig::BitMask` can use it too) and re-exported here, with its
+/// [`dispatch`] levels, for the crates above `bitsim`.
 ///
 /// ```
 /// bitsim::dispatched! {
 ///     /// Set bits of `a & b`.
-///     pub fn and_pop = and_pop_scalar(a: u64, b: u64) -> u32;
+///     pub fn and_pop, and_pop_on = and_pop_scalar(a: u64, b: u64) -> u32;
 /// }
 ///
 /// #[inline(always)]
@@ -52,8 +53,11 @@ pub use sim::{simulate, simulate_into, Sim};
 /// }
 ///
 /// assert_eq!(and_pop(0b1110, 0b0111), and_pop_scalar(0b1110, 0b0111));
+/// for level in bitsim::dispatch::Level::supported() {
+///     assert_eq!(and_pop_on(level, 0b1110, 0b0111), 2, "{level}");
+/// }
 /// ```
-pub use aig::dispatched;
+pub use aig::{dispatch, dispatched};
 
 /// The valid-pattern mask of word `w` in an `n_patterns` sample: all
 /// ones for a full word, the low `n_patterns % 64` bits for a partial
@@ -72,7 +76,7 @@ dispatched! {
     /// Counts the set bits in a signature slice, masking the tail word.
     ///
     /// `n_patterns` tells how many leading bits are valid.
-    pub fn popcount = popcount_scalar(sig: &[u64], n_patterns: usize) -> usize;
+    pub fn popcount, popcount_on = popcount_scalar(sig: &[u64], n_patterns: usize) -> usize;
 }
 
 /// Scalar body of [`popcount`].
@@ -115,7 +119,7 @@ mod tests {
     #[test]
     fn dispatched_popcount_matches_scalar() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let sig: Vec<u64> = (0..40)
+        let sig: Vec<u64> = (0..130)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
@@ -123,8 +127,19 @@ mod tests {
                 state ^ state >> 29
             })
             .collect();
-        for n in [0usize, 1, 63, 64, 65, 512, 513, 2047, 2560] {
-            assert_eq!(popcount(&sig, n), popcount_scalar(&sig, n), "n={n}");
+        // Whole words around one and two 512-bit strips, the same
+        // lengths with a partial tail word, and a few ragged counts.
+        let whole = [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129];
+        let ragged = [1usize, 63, 65, 513, 2047, 2560];
+        let counts = whole
+            .iter()
+            .flat_map(|w| [w * 64, (w * 64).saturating_sub(13)]);
+        for n in counts.chain(ragged) {
+            let expect = popcount_scalar(&sig, n);
+            assert_eq!(popcount(&sig, n), expect, "n={n}");
+            for level in dispatch::Level::supported() {
+                assert_eq!(popcount_on(level, &sig, n), expect, "{level} n={n}");
+            }
         }
     }
 }

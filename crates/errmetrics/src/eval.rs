@@ -12,9 +12,14 @@ pub const PAT_CHUNK: usize = 4096;
 
 /// Words per inner evaluation strip: flip unions are computed for a
 /// fixed-width batch of deviating words at a time so the OR/AND loops
-/// compile to straight-line vector code. Purely a batching width — the
-/// per-word fold order (and thus every rounded sum) is unchanged.
+/// compile to straight-line vector code, and the integer word kernel
+/// folds a strip's words as the eight lanes of one 512-bit row. Purely
+/// a batching width — the per-word fold order (and thus every rounded
+/// sum) is unchanged.
 const STRIP: usize = 8;
+
+/// Eight words, one per lane of a strip.
+type Lanes = [u64; STRIP];
 
 /// Widest output count the integer word kernel handles (see
 /// [`ErrorEval::word_kernel_eligible`]): with 54 or more outputs a
@@ -96,12 +101,17 @@ pub struct ErrorEval {
     /// Whether [`ErrorEval::masked_rows_bounded`] runs the integer word
     /// kernel on this evaluator (see [`ErrorEval::word_kernel_eligible`]).
     word_kernel: bool,
-    /// Word-major bit planes for the integer word kernel (eligible
-    /// evaluators only, else empty): word `w` owns `3 * n_outputs`
-    /// words, the golden values, the current values and
-    /// `|current - golden|`, plane `o` holding bit `o` of each of the
-    /// word's 64 patterns.
+    /// Plane-major bit planes for the integer word kernel (eligible
+    /// evaluators only, else empty): plane `(k, o)` is the row
+    /// `planes[(k * n_outputs + o) * plane_row..][..plane_row]`, bit `o`
+    /// of the golden values (`k = 0`), the current values (`k = 1`) or
+    /// `|current - golden|` (`k = 2`) of every pattern, so eight
+    /// consecutive words of a plane are one load. Rows are padded with
+    /// zero words to a whole number of strips.
     planes: Vec<u64>,
+    /// Words per plane row: `stride` rounded up to a multiple of
+    /// [`STRIP`].
+    plane_row: usize,
     // ER-only per-word union of the output diffs and its popcounts, so
     // sparse candidate scoring can rescore just the deviating words.
     er_words: Vec<u64>,
@@ -146,10 +156,11 @@ impl ErrorEval {
         let word_kernel = matches!(kind, MetricKind::Med | MetricKind::Nmed)
             && n_outputs <= WORD_KERNEL_MAX_OUTPUTS
             && n_patterns as u128 * ((1u128 << n_outputs) - 1) <= 1u128 << 53;
+        let plane_row = stride.next_multiple_of(STRIP);
         let planes = vec![
             0u64;
             if word_kernel {
-                3 * n_outputs * stride
+                3 * n_outputs * plane_row
             } else {
                 0
             }
@@ -169,6 +180,7 @@ impl ErrorEval {
             word_base: Vec::new(),
             word_kernel,
             planes,
+            plane_row,
             golden: golden.iter().map(|s| s[..stride].to_vec()).collect(),
             golden_vals,
             er_words: Vec::new(),
@@ -215,15 +227,40 @@ impl ErrorEval {
     }
 
     /// Fills `out` with inflated suffix sums of the per-word baseline
-    /// contributions over `words` (mean arithmetic metrics only, the
-    /// kinds that keep `word_base`): `out[j]` dominates the exact real
-    /// sum of every baseline contribution in `words[j..]`, and
-    /// `out[words.len()]` is `0`. Input words must ascend.
+    /// contributions over `words`, one per [`STRIP`] (mean arithmetic
+    /// metrics only, the kinds that keep `word_base`): `out[s]`
+    /// dominates the exact real sum of every baseline contribution in
+    /// `words[s * STRIP..]`, and the last entry is `0`. A strip's own
+    /// words are summed from its last word down and the total is added
+    /// to the next strip's entry, one inflation per strip;
+    /// [`ErrorEval::strip_rests`] repeats those additions word by word.
     fn word_base_suffix(&self, words: &[u32], out: &mut Vec<f64>) {
+        let n_strips = words.len().div_ceil(STRIP);
         out.clear();
-        out.resize(words.len() + 1, 0.0);
-        for j in (0..words.len()).rev() {
-            out[j] = inflate(out[j + 1] + self.word_base[words[j] as usize]);
+        out.resize(n_strips + 1, 0.0);
+        for s in (0..n_strips).rev() {
+            let strip = &words[s * STRIP..words.len().min((s + 1) * STRIP)];
+            let mut own = 0.0f64;
+            for &w in strip.iter().rev() {
+                own += self.word_base[w as usize];
+            }
+            out[s] = inflate(out[s + 1] + own);
+        }
+    }
+
+    /// The per-word suffix bounds inside one strip: `rests[i]`
+    /// dominates the baseline mass of `strip[i..]` plus every later
+    /// strip, given `next`, the later strips' entry of
+    /// [`ErrorEval::word_base_suffix`]. The sum of `strip[i..]` runs in
+    /// the order `word_base_suffix` uses, so `rests[0]` is that
+    /// function's entry for this strip, bit for bit. Each bound adds at
+    /// most [`STRIP`] rounded terms before its one inflation, far inside
+    /// the inflation slack.
+    fn strip_rests(&self, strip: &[u32], next: f64, rests: &mut [f64; STRIP]) {
+        let mut own = 0.0f64;
+        for (i, &w) in strip.iter().enumerate().rev() {
+            own += self.word_base[w as usize];
+            rests[i] = inflate(next + own);
         }
     }
 
@@ -251,24 +288,40 @@ impl ErrorEval {
         self.refresh_planes(approx);
     }
 
-    /// Refills every word's planes from the golden and the current
-    /// output signatures (eligible evaluators only).
+    /// Refills the planes from the golden and the current output
+    /// signatures (eligible evaluators only): the golden and current
+    /// rows are copied whole, and `|current - golden|` is computed one
+    /// strip of eight words at a time.
     fn refresh_planes(&mut self, approx: &[Vec<u64>]) {
         if !self.word_kernel {
             return;
         }
-        let n = self.n_outputs;
-        let golden = &self.golden;
-        for (w, p) in self.planes.chunks_exact_mut(3 * n).enumerate() {
-            let (gold, rest) = p.split_at_mut(n);
-            let (cur, abs) = rest.split_at_mut(n);
-            for o in 0..n {
-                gold[o] = golden[o][w];
-                cur[o] = approx[o][w];
-                abs[o] = approx[o][w];
-            }
-            abs_diff_planes(abs, gold);
+        let (n, row, stride) = (self.n_outputs, self.plane_row, self.stride);
+        let (gold, rest) = self.planes.split_at_mut(n * row);
+        let (cur, abs) = rest.split_at_mut(n * row);
+        for o in 0..n {
+            gold[o * row..][..stride].copy_from_slice(&self.golden[o]);
+            cur[o * row..][..stride].copy_from_slice(&approx[o][..stride]);
         }
+        for c in (0..row).step_by(STRIP) {
+            let at = |o: usize| o * row + c..o * row + c + STRIP;
+            let mut borrow = [0u64; STRIP];
+            for o in 0..n {
+                let d = sub_step(lanes(&cur[at(o)]), lanes(&gold[at(o)]), &mut borrow);
+                abs[at(o)].copy_from_slice(&d);
+            }
+            let mut carry = borrow;
+            for o in 0..n {
+                let a = neg_step(lanes(&abs[at(o)]), borrow, &mut carry);
+                abs[at(o)].copy_from_slice(&a);
+            }
+        }
+    }
+
+    /// Row `(k, o)` of the word kernel's planes (see `ErrorEval::planes`).
+    #[inline(always)]
+    fn plane(&self, k: usize, o: usize) -> &[u64] {
+        &self.planes[(k * self.n_outputs + o) * self.plane_row..][..self.plane_row]
     }
 
     fn recompute_contributions(&mut self) {
@@ -630,30 +683,34 @@ impl ErrorEval {
     ///   the integer word kernel: per deviating word the flip set is
     ///   `f = dev & OR(rows) & word_mask`, bit-sliced `|new - golden|`
     ///   planes give the word's exact integer delta
-    ///   `Σ_o 2^o (popcnt(absnew_o & f) - popcnt(abscur_o & f))`, and
-    ///   since every running sum is then an integer of at most `2^53`
-    ///   it equals the per-pattern fold's bit for bit — so the bound
-    ///   checks see the same values and the result is the same,
-    ///   `Exact` and `Pruned` alike;
+    ///   `Σ_o 2^o (popcnt(absnew_o & f) - popcnt(abscur_o & f))`, eight
+    ///   words per step, and since every running sum is then an integer
+    ///   of at most `2^53` it equals the per-pattern fold's bit for bit
+    ///   at every strip boundary — so both return the same `Exact` bits
+    ///   and both prune or neither does (under a threshold test);
     /// - the other mean metrics (MRED, MSE, MED/NMED past the limit)
     ///   run the per-pattern fold of `with_masked_rows`;
     /// - ER and WCE run the exact fold and never consult `prune`.
     ///
-    /// The mean folds check a sound monotone lower bound before every
-    /// word and once more (exactly) at the end. After `j` of `m`
+    /// The per-pattern fold checks a sound monotone lower bound before
+    /// every word, the word kernel before every strip of eight words
+    /// (`j = 0, 8, 16, ...`, where both see the same bound), and
+    /// both once more (exactly) at the end. After `j` of `m`
     /// deviating words, the running sum `S` is the exact rounded prefix
     /// of the final fold. Every remaining per-pattern delta
     /// `fl(new - old)` is `>= -old` (contributions are nonnegative and
     /// `old` is exactly representable), rounded addition is monotone in
     /// each argument, and adding further nonpositive terms only lowers a
     /// fold — so the final sum is at least the fold of `-old_p` over
-    /// *all* patterns of the remaining words onto `S`. `suffix[j]`
-    /// (filled here from the per-word baseline sums) dominates that
-    /// remaining baseline mass `T`, and the classical summation error of
-    /// a `64 * (m - j) + 1`-term fold is below `gamma_n * (|S| + T)`;
-    /// the margin term over-covers that gamma, the inflation slack, and
-    /// the rounding of the bound expression itself by a factor of at
-    /// least 3. Hence `finalize(S - suffix[j] - margin) - current <= ΔE`
+    /// *all* patterns of the remaining words onto `S`. The bound `R_j`
+    /// on that remaining baseline mass `T` comes from the per-word
+    /// baseline sums (one entry per strip in `suffix`, per word inside
+    /// a strip added back on the fly) and dominates it, and the
+    /// classical summation error of a `64 * (m - j) + 1`-term fold is
+    /// below `gamma_n * (|S| + T)`; the margin term over-covers that
+    /// gamma, the inflation slack, and the rounding of the bound
+    /// expression itself by a factor of at least 3. Hence
+    /// `finalize(S - R_j - margin) - current <= ΔE`
     /// always — the pruning decision is sound no matter what threshold
     /// `prune` compares against.
     ///
@@ -684,7 +741,7 @@ impl ErrorEval {
         assert_eq!(bits.len(), words.len(), "one deviation word per index");
         self.word_base_suffix(words, suffix);
         if self.word_kernel {
-            self.word_kernel_bounded(words, bits, outs, rows, suffix, current, prune)
+            word_kernel_bounded(self, words, bits, outs, rows, suffix, current, prune)
         } else {
             self.pattern_fold_bounded(words, bits, outs, rows, suffix, current, prune)
         }
@@ -692,7 +749,8 @@ impl ErrorEval {
 
     /// The per-pattern fold of [`ErrorEval::masked_rows_bounded`]: the
     /// mean arm of [`ErrorEval::with_masked_rows`] with the lower bound
-    /// checked before every word.
+    /// checked before every word. `suffix` holds one bound per strip
+    /// (from [`ErrorEval::word_base_suffix`]).
     #[allow(clippy::too_many_arguments)]
     fn pattern_fold_bounded(
         &self,
@@ -708,11 +766,13 @@ impl ErrorEval {
         let mut tog = Toggles::new();
         let mut sum = self.cur_sum;
         let mut unions = [0u64; STRIP];
+        let mut rests = [0.0f64; STRIP];
         for (s, (strip, devs)) in words.chunks(STRIP).zip(bits.chunks(STRIP)).enumerate() {
             self.masked_unions(strip, devs, outs.len(), rows, &mut unions);
+            self.strip_rests(strip, suffix[s + 1], &mut rests);
             for (i, &w) in strip.iter().enumerate() {
                 let j = s * STRIP + i; // words folded so far
-                let lb_delta = self.lower_bound(sum, suffix[j], m - j, current);
+                let lb_delta = self.lower_bound(sum, rests[i], m - j, current);
                 if prune(lb_delta) {
                     return BoundedScore::Pruned { lb_delta };
                 }
@@ -749,42 +809,6 @@ impl ErrorEval {
             return BoundedScore::Pruned { lb_delta: delta };
         }
         BoundedScore::Exact(e)
-    }
-
-    /// The integer word kernel of [`ErrorEval::masked_rows_bounded`]
-    /// (eligible evaluators only; see there for why it is exact).
-    #[allow(clippy::too_many_arguments)]
-    fn word_kernel_bounded(
-        &self,
-        words: &[u32],
-        bits: &[u64],
-        outs: &[u32],
-        rows: &[u64],
-        suffix: &[f64],
-        current: f64,
-        mut prune: impl FnMut(f64) -> bool,
-    ) -> BoundedScore {
-        debug_assert!(self.word_kernel, "evaluator not word-kernel eligible");
-        let m = words.len();
-        let planes_per_word = 3 * self.n_outputs;
-        let mut sum = self.cur_sum;
-        for (j, (&w, &d)) in words.iter().zip(bits).enumerate() {
-            let lb_delta = self.lower_bound(sum, suffix[j], m - j, current);
-            if prune(lb_delta) {
-                return BoundedScore::Pruned { lb_delta };
-            }
-            let w = w as usize;
-            let mut union = 0u64;
-            for k in 0..outs.len() {
-                union |= rows[k * self.stride + w];
-            }
-            let f = d & union & self.word_mask(w);
-            if f != 0 {
-                let planes = &self.planes[w * planes_per_word..][..planes_per_word];
-                sum += word_delta(planes, outs, rows, self.stride, w, f) as f64;
-            }
-        }
-        self.bounded_result(sum, current, prune)
     }
 
     /// The flip unions of up to [`STRIP`] deviating words: per strip
@@ -868,75 +892,196 @@ impl ErrorEval {
     }
 }
 
-/// Replaces the bit planes `x` (plane `o` holds bit `o` of 64 values)
-/// with the planes of `|x - g|`: a borrow chain from the least
-/// significant plane up gives `x - g` modulo `2^n`, and the final
-/// borrow marks the values where `x < g`, which are negated in two's
-/// complement (invert, then add one along a carry chain).
+/// Eight words of a plane or row from the slice `s` of exactly
+/// [`STRIP`] words.
 #[inline(always)]
-fn abs_diff_planes(x: &mut [u64], g: &[u64]) {
-    let mut borrow = 0u64;
-    for (xo, &go) in x.iter_mut().zip(g) {
-        let a = *xo;
-        *xo = a ^ go ^ borrow;
-        borrow = (!a & go) | (!(a ^ go) & borrow);
+fn lanes(s: &[u64]) -> Lanes {
+    let mut v = [0u64; STRIP];
+    v.copy_from_slice(s);
+    v
+}
+
+/// One plane of the borrow chain of `x - g`, from the least significant
+/// plane up: returns plane `o` of `x - g mod 2^n` given planes `o` of
+/// `x` and `g`, and carries the borrow into the next plane. After the
+/// last plane, `borrow` marks the values where `x < g`.
+#[inline(always)]
+fn sub_step(x: Lanes, g: Lanes, borrow: &mut Lanes) -> Lanes {
+    let mut d = [0u64; STRIP];
+    for i in 0..STRIP {
+        d[i] = x[i] ^ g[i] ^ borrow[i];
+        borrow[i] = (!x[i] & g[i]) | (!(x[i] ^ g[i]) & borrow[i]);
     }
-    let mut carry = borrow;
-    for xo in x.iter_mut() {
-        let y = *xo ^ borrow;
-        *xo = y ^ carry;
-        carry &= y;
+    d
+}
+
+/// One plane of the two's-complement negation of the values marked by
+/// `sign` (invert, then add one along the carry chain, which starts as
+/// `sign`): with `sign` the final borrow of [`sub_step`], it turns the
+/// planes of `x - g mod 2^n` into those of `|x - g|`.
+#[inline(always)]
+fn neg_step(d: Lanes, sign: Lanes, carry: &mut Lanes) -> Lanes {
+    let mut a = [0u64; STRIP];
+    for i in 0..STRIP {
+        let y = d[i] ^ sign[i];
+        a[i] = y ^ carry[i];
+        carry[i] &= y;
     }
+    a
+}
+
+/// Whether the integer word kernel loads the strip `strip` (up to eight
+/// ascending deviating words of one candidate) as one 512-bit row per
+/// plane: the strip is full and its words are consecutive. Every other
+/// strip is loaded lane by lane.
+#[inline(always)]
+pub fn contiguous_strip(strip: &[u32]) -> bool {
+    strip.len() == STRIP && strip[STRIP - 1] - strip[0] == (STRIP - 1) as u32
 }
 
 dispatched! {
-    /// The exact change of the summed error distance over the patterns
-    /// of `f` in one word, when output `outs[k]` flips on
-    /// `rows[k * stride + w] & f`. `planes` holds the word's golden,
-    /// current and `|current - golden|` planes (see `ErrorEval::planes`).
-    fn word_delta = word_delta_scalar(
-        planes: &[u64],
+    /// The integer word kernel of [`ErrorEval::masked_rows_bounded`]
+    /// (eligible evaluators only; see there for why it is exact): the
+    /// deviating words are folded a strip of eight at a time, with the
+    /// lower bound checked before each strip.
+    #[allow(clippy::too_many_arguments)]
+    fn word_kernel_bounded, word_kernel_on = word_kernel_scalar(
+        eval: &ErrorEval,
+        words: &[u32],
+        bits: &[u64],
         outs: &[u32],
         rows: &[u64],
-        stride: usize,
-        w: usize,
-        f: u64,
-    ) -> i64;
+        suffix: &[f64],
+        current: f64,
+        prune: impl FnMut(f64) -> bool,
+    ) -> BoundedScore;
 }
 
-/// Scalar body of [`word_delta`]. With at most 53 outputs every term
-/// `2^o * popcnt` stays below `2^59`, and so does their sum.
+/// Scalar body of [`word_kernel_bounded`]. The integer sum of the
+/// strips' deltas stays within `±2^53` (it is the change of a sum of
+/// `n_patterns` contributions), so `cur_sum + delta` is exact at every
+/// strip boundary.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn word_delta_scalar(
-    planes: &[u64],
+fn word_kernel_scalar(
+    eval: &ErrorEval,
+    words: &[u32],
+    bits: &[u64],
     outs: &[u32],
     rows: &[u64],
-    stride: usize,
-    w: usize,
-    f: u64,
-) -> i64 {
-    let n = planes.len() / 3;
-    let (gold, rest) = planes.split_at(n);
-    let (cur, abs) = rest.split_at(n);
-    let mut new = [0u64; WORD_KERNEL_MAX_OUTPUTS];
-    let new = &mut new[..n];
-    new.copy_from_slice(cur);
-    for (k, &o) in outs.iter().enumerate() {
-        new[o as usize] ^= rows[k * stride + w] & f;
-    }
-    abs_diff_planes(new, gold);
+    suffix: &[f64],
+    current: f64,
+    mut prune: impl FnMut(f64) -> bool,
+) -> BoundedScore {
+    debug_assert!(eval.word_kernel, "evaluator not word-kernel eligible");
+    let m = words.len();
+    let mut diff = [[0u64; STRIP]; WORD_KERNEL_MAX_OUTPUTS];
     let mut delta = 0i64;
-    for (o, (&a_new, &a_cur)) in new.iter().zip(abs).enumerate() {
-        delta += ((a_new & f).count_ones() as i64 - (a_cur & f).count_ones() as i64) << o;
+    for (s, (strip, devs)) in words.chunks(STRIP).zip(bits.chunks(STRIP)).enumerate() {
+        let sum = eval.cur_sum + delta as f64;
+        let lb_delta = eval.lower_bound(sum, suffix[s], m - s * STRIP, current);
+        if prune(lb_delta) {
+            return BoundedScore::Pruned { lb_delta };
+        }
+        let mut at = [strip[0] as usize; STRIP];
+        let mut dev = [0u64; STRIP];
+        for (i, d) in dev.iter_mut().enumerate() {
+            *d = devs.get(i).copied().unwrap_or(0);
+        }
+        delta += if contiguous_strip(strip) {
+            for (i, a) in at.iter_mut().enumerate() {
+                *a += i;
+            }
+            strip_delta::<true>(eval, at, dev, outs, rows, &mut diff)
+        } else {
+            for (a, &w) in at.iter_mut().zip(strip) {
+                *a = w as usize;
+            }
+            strip_delta::<false>(eval, at, dev, outs, rows, &mut diff)
+        };
     }
-    delta
+    eval.bounded_result(eval.cur_sum + delta as f64, current, prune)
+}
+
+/// Loads the words `at` of `row`: one eight-word slice when `CONTIG`
+/// (`at` is then `at[0], at[0] + 1, ...`), else lane by lane.
+#[inline(always)]
+fn load<const CONTIG: bool>(row: &[u64], at: &[usize; STRIP]) -> Lanes {
+    if CONTIG {
+        lanes(&row[at[0]..at[0] + STRIP])
+    } else {
+        let mut v = [0u64; STRIP];
+        for i in 0..STRIP {
+            v[i] = row[at[i]];
+        }
+        v
+    }
+}
+
+/// The exact change of the summed error distance over the deviating
+/// words `at` (deviation `dev[i]` at word `at[i]`; a zero lane adds
+/// nothing), when output `outs[k]` flips on
+/// `rows[k * stride + w] & f`. Per lane, `f = dev & OR(rows) &
+/// word_mask`; the new planes `cur ^ (row & f)` go through the borrow
+/// chain into `diff`, and the conditional negation turns them into
+/// `|new - golden|`, whose popcounts under `f` replace the current
+/// ones. With at most 53 outputs every term `2^o * popcnt` of a lane
+/// stays below `2^59`, and a strip's sum below `2^62`.
+#[inline(always)]
+fn strip_delta<const CONTIG: bool>(
+    eval: &ErrorEval,
+    at: [usize; STRIP],
+    dev: Lanes,
+    outs: &[u32],
+    rows: &[u64],
+    diff: &mut [Lanes; WORD_KERNEL_MAX_OUTPUTS],
+) -> i64 {
+    let (n, stride) = (eval.n_outputs, eval.stride);
+    let mut f = [0u64; STRIP];
+    for k in 0..outs.len() {
+        let r = load::<CONTIG>(&rows[k * stride..][..stride], &at);
+        for i in 0..STRIP {
+            f[i] |= r[i];
+        }
+    }
+    for i in 0..STRIP {
+        f[i] &= dev[i] & word_mask(eval.n_patterns, at[i]);
+    }
+    if f == [0u64; STRIP] {
+        return 0;
+    }
+    let mut borrow = [0u64; STRIP];
+    let mut k = 0;
+    for (o, d) in diff.iter_mut().enumerate().take(n) {
+        let mut x = load::<CONTIG>(eval.plane(1, o), &at);
+        if k < outs.len() && outs[k] as usize == o {
+            let r = load::<CONTIG>(&rows[k * stride..][..stride], &at);
+            for i in 0..STRIP {
+                x[i] ^= r[i] & f[i];
+            }
+            k += 1;
+        }
+        *d = sub_step(x, load::<CONTIG>(eval.plane(0, o), &at), &mut borrow);
+    }
+    let mut carry = borrow;
+    let mut acc = [0i64; STRIP];
+    for (o, &d) in diff.iter().enumerate().take(n) {
+        let a_new = neg_step(d, borrow, &mut carry);
+        let a_cur = load::<CONTIG>(eval.plane(2, o), &at);
+        for i in 0..STRIP {
+            let pops =
+                (a_new[i] & f[i]).count_ones() as i64 - (a_cur[i] & f[i]).count_ones() as i64;
+            acc[i] += pops << o;
+        }
+    }
+    acc.iter().sum()
 }
 
 dispatched! {
     /// The ER error-count change of a sparse deviation (`bits[j]` is
     /// the deviation word at `words[j]`; see
     /// `ErrorEval::er_with_deviation`).
-    fn er_delta = er_delta_scalar(
+    fn er_delta, er_delta_on = er_delta_scalar(
         er_words: &[u64],
         pops: &[u32],
         e1: &[u64],
@@ -1118,6 +1263,7 @@ fn decode_values(sigs: &[Vec<u64>], n_patterns: usize, vals: &mut Vec<u128>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitsim::dispatch::Level;
 
     /// 2-output golden circuit values: patterns 0..4 -> 0,1,2,3.
     fn golden_2bit() -> Vec<Vec<u64>> {
@@ -1452,7 +1598,14 @@ mod tests {
                     continue;
                 }
                 per_kernel[e.word_kernel_eligible() as usize] += 1;
-                assert_eq!(lbs.len(), c.words.len() + 1);
+                // One bound per word (per-pattern fold) or per strip
+                // (word kernel), then the exact ΔE.
+                let checkpoints = if e.word_kernel_eligible() {
+                    c.words.len().div_ceil(STRIP)
+                } else {
+                    c.words.len()
+                };
+                assert_eq!(lbs.len(), checkpoints + 1, "{kind} seed {seed}");
                 for (j, &lb) in lbs.iter().enumerate() {
                     assert!(
                         lb <= delta,
@@ -1493,18 +1646,27 @@ mod tests {
                 "er seed {seed}"
             );
             let (ew, ep) = (&e.er_words, &e.er_word_pops);
+            let er_scalar = er_delta_scalar(ew, ep, &e1, &c.words, &c.bits, c.n_patterns);
             assert_eq!(
                 er_delta(ew, ep, &e1, &c.words, &c.bits, c.n_patterns),
-                er_delta_scalar(ew, ep, &e1, &c.words, &c.bits, c.n_patterns),
+                er_scalar,
                 "er dispatch seed {seed}"
             );
+            for level in Level::supported() {
+                assert_eq!(
+                    er_delta_on(level, ew, ep, &e1, &c.words, &c.bits, c.n_patterns),
+                    er_scalar,
+                    "er {level} seed {seed}"
+                );
+            }
         }
         assert!(per_kernel.iter().all(|&n| n > 0), "kernels {per_kernel:?}");
     }
 
     /// Runs the per-pattern fold and the integer word kernel with the
     /// same pruning threshold, returning both results and the lower
-    /// bounds each one handed to its `prune` callback.
+    /// bounds each one handed to its `prune` callback (per word and per
+    /// strip).
     #[allow(clippy::type_complexity)]
     fn both_bounded(
         e: &ErrorEval,
@@ -1520,12 +1682,12 @@ mod tests {
             per_pattern.push(lb.to_bits());
             lb > thr
         });
-        let mut per_word = Vec::new();
-        let kernel = e.word_kernel_bounded(words, bits, outs, rows, &suffix, current, |lb| {
-            per_word.push(lb.to_bits());
+        let mut per_strip = Vec::new();
+        let kernel = word_kernel_bounded(e, words, bits, outs, rows, &suffix, current, |lb| {
+            per_strip.push(lb.to_bits());
             lb > thr
         });
-        ((fold, per_pattern), (kernel, per_word))
+        ((fold, per_pattern), (kernel, per_strip))
     }
 
     fn score_bits(s: BoundedScore) -> (bool, u64) {
@@ -1535,14 +1697,49 @@ mod tests {
         }
     }
 
+    /// Checks the word kernel's run `(b, lb)` against the per-pattern
+    /// fold's `(a, la)` on a case of `m` deviating words: the same
+    /// `Exact` bits, or both pruned; the kernel's bound before strip `s`
+    /// is the fold's before word `8 s` (where the fold got that far),
+    /// its bound after the last strip is `ΔE`, and every bound of either
+    /// is at most `ΔE`.
+    fn assert_same_fold(
+        (a, la): &(BoundedScore, Vec<u64>),
+        (b, lb): &(BoundedScore, Vec<u64>),
+        m: usize,
+        delta: f64,
+        at: &str,
+    ) {
+        match (a, b) {
+            (BoundedScore::Exact(x), BoundedScore::Exact(y)) => {
+                assert_eq!(x.to_bits(), y.to_bits(), "{at}: exact scores differ");
+                assert_eq!(la.len(), m + 1, "{at}: bound per word");
+                assert_eq!(lb.len(), m.div_ceil(STRIP) + 1, "{at}: bound per strip");
+            }
+            (BoundedScore::Pruned { .. }, BoundedScore::Pruned { .. }) => {}
+            _ => panic!("{at}: one kernel pruned, the other did not: {a:?} vs {b:?}"),
+        }
+        for (s, &bound) in lb.iter().enumerate() {
+            if s == m.div_ceil(STRIP) {
+                assert_eq!(bound, delta.to_bits(), "{at}: final ΔE");
+            } else if let Some(&fold) = la.get(s * STRIP) {
+                assert_eq!(bound, fold, "{at}: bound before strip {s}");
+            }
+        }
+        for bound in la.iter().chain(lb) {
+            assert!(f64::from_bits(*bound) <= delta, "{at}: bound above ΔE");
+        }
+    }
+
     #[test]
     fn word_kernel_is_bit_identical_to_the_per_pattern_fold() {
         // MED and NMED on the integer word kernel against the
         // per-pattern bounded fold and the fused-row oracle: the same
-        // `BoundedScore` bits and the same lower bounds at every
-        // checkpoint, never pruning and under random thresholds, from
-        // one output to the 40-output limit of an 8,192-pattern sample,
-        // with full, single and partial tail words.
+        // `Exact` bits, both pruning or neither, and the same lower
+        // bound at every strip boundary, never pruning and under random
+        // thresholds, from one output to the 40-output limit of an
+        // 8,192-pattern sample, with full, single and partial tail
+        // words.
         let mut next = lcg(0x770d);
         let (mut exact, mut pruned) = (0usize, 0usize);
         for n_outputs in [1usize, 5, 16, 33, 39, 40] {
@@ -1555,18 +1752,17 @@ mod tests {
                     let at = format!("{kind} outputs {n_outputs} patterns {n_patterns}");
                     assert!(e.word_kernel_eligible(), "{at}");
                     let oracle = e.with_masked_rows(&c.words, &c.bits, &c.outs, &c.rows);
-                    let ((a, la), (b, lb)) = both_bounded(&e, &c, f64::INFINITY);
-                    assert_eq!(score_bits(a), (true, oracle.to_bits()), "{at}");
-                    assert_eq!(score_bits(b), score_bits(a), "{at}");
-                    assert_eq!(lb, la, "{at}: bounds differ");
                     let delta = oracle - e.current();
+                    let (a, b) = both_bounded(&e, &c, f64::INFINITY);
+                    assert_eq!(score_bits(a.0), (true, oracle.to_bits()), "{at}");
+                    assert_same_fold(&a, &b, c.words.len(), delta, &at);
                     for _ in 0..8 {
                         let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
                         let thr = delta + delta.abs() * (4.0 * u - 2.0);
-                        let ((a, la), (b, lb)) = both_bounded(&e, &c, thr);
-                        assert_eq!(score_bits(b), score_bits(a), "{at} thr {thr}");
-                        assert_eq!(lb, la, "{at} thr {thr}: bounds differ");
-                        match a {
+                        let (a, b) = both_bounded(&e, &c, thr);
+                        let at = format!("{at} thr {thr}");
+                        assert_same_fold(&a, &b, c.words.len(), delta, &at);
+                        match a.0 {
                             BoundedScore::Exact(_) => exact += 1,
                             BoundedScore::Pruned { .. } => pruned += 1,
                         }
@@ -1615,8 +1811,27 @@ mod tests {
         }
     }
 
+    /// The per-pattern integer change of the summed error distance over
+    /// the flipped patterns of word `w`: the reference each strip's
+    /// word delta is checked against.
+    fn pattern_delta(e: &ErrorEval, c: &MaskedCase, w: usize) -> i128 {
+        let f = e.flip_union(&c.flips, w);
+        let mut expect = 0i128;
+        for b in (0..64).filter(|b| f >> b & 1 == 1) {
+            let p = w * 64 + b;
+            let new = e.cur_vals[p] ^ toggle_bits(&c.flips, p);
+            let old = e.cur_vals[p].abs_diff(e.golden_vals[p]);
+            expect += new.abs_diff(e.golden_vals[p]) as i128 - old as i128;
+        }
+        expect
+    }
+
     #[test]
     fn dispatched_word_delta_matches_scalar_and_pattern_sum() {
+        // Per strip of the plane-major layout, both load instances of
+        // the strip delta against the per-pattern integer sum, and the
+        // whole word kernel on every instance the CPU runs against its
+        // scalar body.
         for (seed, n_outputs, n_patterns) in [
             (41u64, 1usize, 8192),
             (42, 16, 8192),
@@ -1627,23 +1842,123 @@ mod tests {
             let c = masked_case(seed, n_patterns, n_outputs);
             let mut e = ErrorEval::new(MetricKind::Med, &c.golden, c.n_patterns);
             e.rebase(&c.approx);
-            let n3 = 3 * n_outputs;
-            for &w in &c.words {
-                let w = w as usize;
-                let f = e.flip_union(&c.flips, w);
-                let planes = &e.planes[w * n3..][..n3];
-                let got = word_delta(planes, &c.outs, &c.rows, e.stride, w, f);
-                let scalar = word_delta_scalar(planes, &c.outs, &c.rows, e.stride, w, f);
-                assert_eq!(got, scalar, "outputs {n_outputs} word {w}");
-                let mut expect = 0i128;
-                for b in (0..64).filter(|b| f >> b & 1 == 1) {
-                    let p = w * 64 + b;
-                    let new = e.cur_vals[p] ^ toggle_bits(&c.flips, p);
-                    let old = e.cur_vals[p].abs_diff(e.golden_vals[p]);
-                    expect += new.abs_diff(e.golden_vals[p]) as i128 - old as i128;
+            let mut diff = [[0u64; STRIP]; WORD_KERNEL_MAX_OUTPUTS];
+            for (strip, devs) in c.words.chunks(STRIP).zip(c.bits.chunks(STRIP)) {
+                let at_ = format!("outputs {n_outputs} strip at {}", strip[0]);
+                let mut at = [strip[0] as usize; STRIP];
+                let mut dev = [0u64; STRIP];
+                for (i, (&w, &d)) in strip.iter().zip(devs).enumerate() {
+                    (at[i], dev[i]) = (w as usize, d);
                 }
-                assert_eq!(got as i128, expect, "outputs {n_outputs} word {w}");
+                let expect: i128 = strip
+                    .iter()
+                    .map(|&w| pattern_delta(&e, &c, w as usize))
+                    .sum();
+                let per_lane = strip_delta::<false>(&e, at, dev, &c.outs, &c.rows, &mut diff);
+                assert_eq!(per_lane as i128, expect, "{at_}");
+                if contiguous_strip(strip) {
+                    let contig = strip_delta::<true>(&e, at, dev, &c.outs, &c.rows, &mut diff);
+                    assert_eq!(contig, per_lane, "{at_}");
+                }
             }
+            assert_instances_agree(
+                &e,
+                &c.words,
+                &c.bits,
+                &c.outs,
+                &c.rows,
+                &format!("seed {seed}"),
+            );
+        }
+    }
+
+    /// Runs the word kernel's scalar body and its instance at every
+    /// supported level, never pruning and under thresholds around
+    /// `ΔE`, and requires the same results and bound sequences.
+    fn assert_instances_agree(
+        e: &ErrorEval,
+        words: &[u32],
+        bits: &[u64],
+        outs: &[u32],
+        rows: &[u64],
+        at: &str,
+    ) {
+        let current = e.current();
+        let mut suffix = Vec::new();
+        e.word_base_suffix(words, &mut suffix);
+        let oracle = e.with_masked_rows(words, bits, outs, rows);
+        let delta = oracle - current;
+        for thr in [
+            f64::INFINITY,
+            delta,
+            delta - delta.abs() * 0.5 - 1e-12,
+            -1.0,
+        ] {
+            let mut expect_lbs = Vec::new();
+            let expect = word_kernel_scalar(e, words, bits, outs, rows, &suffix, current, |lb| {
+                expect_lbs.push(lb.to_bits());
+                lb > thr
+            });
+            if thr == f64::INFINITY {
+                assert_eq!(expect, BoundedScore::Exact(oracle), "{at}");
+            }
+            for level in Level::supported() {
+                let mut lbs = Vec::new();
+                let got =
+                    word_kernel_on(level, e, words, bits, outs, rows, &suffix, current, |lb| {
+                        lbs.push(lb.to_bits());
+                        lb > thr
+                    });
+                assert_eq!(
+                    score_bits(got),
+                    score_bits(expect),
+                    "{at} {level} thr {thr}"
+                );
+                assert_eq!(lbs, expect_lbs, "{at} {level} thr {thr}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_kernel_instances_agree_on_every_strip_shape() {
+        // Word lists of 0, 1, 7, 8, 9, 63–65 and 127–129 words, each as
+        // one consecutive run (contiguous strips, short last strip) and
+        // with gaps (per-lane strips), at 16 and 33 outputs on a
+        // 131-word sample with a partial tail word.
+        let n_patterns = 131 * 64 - 9;
+        for n_outputs in [16usize, 33] {
+            let c = masked_case(0x5171 + n_outputs as u64, n_patterns, n_outputs);
+            let mut e = ErrorEval::new(MetricKind::Nmed, &c.golden, n_patterns);
+            e.rebase(&c.approx);
+            assert!(e.word_kernel_eligible());
+            let mut next = lcg(n_outputs as u64);
+            let dev: Vec<u64> = (0..131).map(|_| next() | next()).collect();
+            let (mut contiguous, mut per_lane) = (0usize, 0usize);
+            for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129] {
+                // A run ending on the partial tail word, and a list with
+                // a gap after every fifth word.
+                let run: Vec<u32> = (131 - len as u32..131).collect();
+                let gapped: Vec<u32> = (0..131u32).filter(|w| w % 5 != 4).take(len).collect();
+                let gapped = if gapped.len() == len {
+                    gapped
+                } else {
+                    (0..131u32).filter(|&w| w != 64).take(len).collect()
+                };
+                for words in [run, gapped] {
+                    assert_eq!(words.len(), len);
+                    for strip in words.chunks(STRIP) {
+                        if contiguous_strip(strip) {
+                            contiguous += 1;
+                        } else {
+                            per_lane += 1;
+                        }
+                    }
+                    let bits: Vec<u64> = words.iter().map(|&w| dev[w as usize]).collect();
+                    let at = format!("outputs {n_outputs} words {words:?}");
+                    assert_instances_agree(&e, &words, &bits, &c.outs, &c.rows, &at);
+                }
+            }
+            assert!(contiguous > 0 && per_lane > 0, "{contiguous} {per_lane}");
         }
     }
 

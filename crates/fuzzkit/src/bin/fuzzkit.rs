@@ -13,8 +13,10 @@
 //! `--repro`, replays exactly one case from its repro line. `--smoke`
 //! is the fixed CI configuration (pinned seed, small iteration count);
 //! it also fails unless its top-k checks reached all three scoring
-//! kernels: the integer word kernel, the per-pattern fold, and the
-//! exact ER/WCE scorers.
+//! kernels (the integer word kernel, the per-pattern fold, and the
+//! exact ER/WCE scorers) and some integer-word check scored a strip of
+//! deviating words loaded lane by lane. Every run prints the kernel
+//! instance the host's CPU selected (`aig::dispatch::level`).
 
 use std::process::ExitCode;
 
@@ -108,10 +110,12 @@ fn main() -> ExitCode {
 
     let mut ran = 0u64;
     let (mut word_kernel, mut pattern_kernel, mut exact) = (0usize, 0usize, 0usize);
+    let mut lane_strips = 0usize;
     let failure = fuzzkit::soak(args.seed, args.iters, args.fault, |i, outcome| {
         ran = i + 1;
         if let Ok(stats) = outcome {
             word_kernel += stats.topk_word_kernel;
+            lane_strips += stats.topk_word_lane_strips;
             pattern_kernel += stats.topk_pattern_kernel;
             exact += stats.topk_exact;
             if !args.quiet && (i + 1) % 50 == 0 {
@@ -126,11 +130,17 @@ fn main() -> ExitCode {
                 args.seed, args.fault
             );
             println!(
-                "fuzzkit: top-k checks by scoring kernel: {word_kernel} integer word, \
-                 {pattern_kernel} per-pattern, {exact} exact (ER/WCE)"
+                "fuzzkit: top-k checks by scoring kernel: {word_kernel} integer word \
+                 ({lane_strips} with per-lane strips), {pattern_kernel} per-pattern, \
+                 {exact} exact (ER/WCE); kernel instance {}",
+                aig::dispatch::level()
             );
             if args.smoke && (word_kernel == 0 || pattern_kernel == 0 || exact == 0) {
                 println!("fuzzkit: the smoke run must reach all three top-k scoring kernels");
+                return ExitCode::FAILURE;
+            }
+            if args.smoke && lane_strips == 0 {
+                println!("fuzzkit: the smoke run must score a per-lane strip on the word kernel");
                 return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS

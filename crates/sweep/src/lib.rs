@@ -739,6 +739,7 @@ fn process_cohort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack::tests::within;
 
     fn pt(instance: usize, area: usize, error: f64) -> ParetoPoint {
         ParetoPoint {
@@ -821,52 +822,56 @@ mod tests {
 
     #[test]
     fn tiny_sweep_matches_standalone() {
-        use accals::{Accals, SizeParam};
-        let golden = benchgen::multipliers::array_multiplier(3);
-        let mut base = AccalsConfig::new(MetricKind::Er, 0.05);
-        base.r_ref = SizeParam::Fixed(20);
-        base.r_sel = SizeParam::Fixed(4);
-        let bounds = [0.02, 0.05, 0.1];
-        let mut job = SweepJob::new();
-        let c = job.add_circuit(golden.clone());
-        job.add_grid(c, &base, &bounds);
-        for share in [true, false] {
-            let opts = SweepOptions {
-                threads: 2,
-                share,
-                ..SweepOptions::default()
-            };
-            let res = run(&job, &opts);
-            assert_eq!(res.instances.len(), bounds.len());
-            for (i, &b) in bounds.iter().enumerate() {
-                let mut cfg = base.clone();
-                cfg.error_bound = b;
-                let alone = Accals::new(cfg).synthesize(&golden);
-                let batched = &res.instances[i];
-                assert_eq!(batched.error_bound, b);
-                assert_eq!(
-                    batched.result.error.to_bits(),
-                    alone.error.to_bits(),
-                    "share={share} bound={b}: error diverged"
-                );
-                assert_eq!(batched.result.aig.n_ands(), alone.aig.n_ands());
-                assert_eq!(
-                    batched.trajectory_hash,
-                    trajectory_hash(&alone.rounds),
-                    "share={share} bound={b}: trajectory diverged"
-                );
+        // Under a watchdog: a scheduler that loses a wake-up fails here
+        // instead of hanging the suite.
+        within(300, || {
+            use accals::{Accals, SizeParam};
+            let golden = benchgen::multipliers::array_multiplier(3);
+            let mut base = AccalsConfig::new(MetricKind::Er, 0.05);
+            base.r_ref = SizeParam::Fixed(20);
+            base.r_sel = SizeParam::Fixed(4);
+            let bounds = [0.02, 0.05, 0.1];
+            let mut job = SweepJob::new();
+            let c = job.add_circuit(golden.clone());
+            job.add_grid(c, &base, &bounds);
+            for share in [true, false] {
+                let opts = SweepOptions {
+                    threads: 2,
+                    share,
+                    ..SweepOptions::default()
+                };
+                let res = run(&job, &opts);
+                assert_eq!(res.instances.len(), bounds.len());
+                for (i, &b) in bounds.iter().enumerate() {
+                    let mut cfg = base.clone();
+                    cfg.error_bound = b;
+                    let alone = Accals::new(cfg).synthesize(&golden);
+                    let batched = &res.instances[i];
+                    assert_eq!(batched.error_bound, b);
+                    assert_eq!(
+                        batched.result.error.to_bits(),
+                        alone.error.to_bits(),
+                        "share={share} bound={b}: error diverged"
+                    );
+                    assert_eq!(batched.result.aig.n_ands(), alone.aig.n_ands());
+                    assert_eq!(
+                        batched.trajectory_hash,
+                        trajectory_hash(&alone.rounds),
+                        "share={share} bound={b}: trajectory diverged"
+                    );
+                }
+                let front = res.front(c, MetricKind::Er).expect("front exists");
+                assert!(!front.is_empty());
+                // Loosest-bound instance should not be beaten on area.
+                let min_area = res
+                    .instances
+                    .iter()
+                    .map(|r| r.result.aig.n_ands())
+                    .min()
+                    .unwrap();
+                assert_eq!(front.points()[0].area, min_area);
             }
-            let front = res.front(c, MetricKind::Er).expect("front exists");
-            assert!(!front.is_empty());
-            // Loosest-bound instance should not be beaten on area.
-            let min_area = res
-                .instances
-                .iter()
-                .map(|r| r.result.aig.n_ands())
-                .min()
-                .unwrap();
-            assert_eq!(front.points()[0].area, min_area);
-        }
+        });
     }
 
     #[test]
@@ -912,29 +917,32 @@ mod tests {
 
     #[test]
     fn events_stream_rounds_and_fronts() {
-        use accals::SizeParam;
-        let golden = benchgen::adders::rca(8);
-        let mut base = AccalsConfig::new(MetricKind::Er, 0.05);
-        base.r_ref = SizeParam::Fixed(20);
-        base.r_sel = SizeParam::Fixed(4);
-        let mut job = SweepJob::new();
-        let c = job.add_circuit(golden);
-        job.add_grid(c, &base, &[0.02, 0.08]);
-        let mut rounds = 0usize;
-        let mut done = 0usize;
-        let mut front_points = 0usize;
-        let res = run_traced(&job, &SweepOptions::default(), &mut |ev| match ev {
-            SweepEvent::Round { .. } => rounds += 1,
-            SweepEvent::InstanceDone { .. } => done += 1,
-            SweepEvent::FrontPoint { .. } => front_points += 1,
+        // Under a watchdog, as `tiny_sweep_matches_standalone`.
+        within(300, || {
+            use accals::SizeParam;
+            let golden = benchgen::adders::rca(8);
+            let mut base = AccalsConfig::new(MetricKind::Er, 0.05);
+            base.r_ref = SizeParam::Fixed(20);
+            base.r_sel = SizeParam::Fixed(4);
+            let mut job = SweepJob::new();
+            let c = job.add_circuit(golden);
+            job.add_grid(c, &base, &[0.02, 0.08]);
+            let mut rounds = 0usize;
+            let mut done = 0usize;
+            let mut front_points = 0usize;
+            let res = run_traced(&job, &SweepOptions::default(), &mut |ev| match ev {
+                SweepEvent::Round { .. } => rounds += 1,
+                SweepEvent::InstanceDone { .. } => done += 1,
+                SweepEvent::FrontPoint { .. } => front_points += 1,
+            });
+            assert_eq!(done, 2);
+            assert!(front_points >= 1);
+            let total_rounds: usize = res.instances.iter().map(|r| r.result.rounds.len()).sum();
+            assert_eq!(rounds, total_rounds);
+            // Both instances finished within their bounds.
+            for r in &res.instances {
+                assert!(r.result.error <= r.error_bound);
+            }
         });
-        assert_eq!(done, 2);
-        assert!(front_points >= 1);
-        let total_rounds: usize = res.instances.iter().map(|r| r.result.rounds.len()).sum();
-        assert_eq!(rounds, total_rounds);
-        // Both instances finished within their bounds.
-        for r in &res.instances {
-            assert!(r.result.error <= r.error_bound);
-        }
     }
 }

@@ -10,9 +10,33 @@
 //! caches when their commits diverge. None of that machinery may leak
 //! into the results.
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use accals::{Accals, AccalsConfig, SizeParam};
 use errmetrics::MetricKind;
 use sweep::{trajectory_hash, SweepJob, SweepOptions};
+
+/// Runs `check_circuit(name)` on its own thread and fails the test if it
+/// does not finish within `secs`, so a sweep scheduler that loses a
+/// wake-up fails instead of hanging the suite. A panic in the check is
+/// re-raised here.
+fn within(secs: u64, name: &'static str) {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        check_circuit(name);
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(()) => {}
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{name}: sweep did not finish within {secs} s (a lost wake-up?)")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("no result means a panic"))
+        }
+    }
+}
 
 /// Per-metric bound ladders sized so the suite circuits run several
 /// rounds and the cohorts split mid-flight (the interesting case for
@@ -99,15 +123,15 @@ fn check_circuit(name: &str) {
 
 #[test]
 fn rca32_batched_matches_standalone() {
-    check_circuit("rca32");
+    within(600, "rca32");
 }
 
 #[test]
 fn mtp8_batched_matches_standalone() {
-    check_circuit("mtp8");
+    within(600, "mtp8");
 }
 
 #[test]
 fn alu4_batched_matches_standalone() {
-    check_circuit("alu4");
+    within(600, "alu4");
 }
