@@ -13,9 +13,9 @@ pub const PAT_CHUNK: usize = 4096;
 /// Words per inner evaluation strip: flip unions are computed for a
 /// fixed-width batch of deviating words at a time so the OR/AND loops
 /// compile to straight-line vector code, and the integer word kernel
-/// folds a strip's words as the eight lanes of one 512-bit row. Purely
-/// a batching width — the per-word fold order (and thus every rounded
-/// sum) is unchanged.
+/// folds a strip's words as eight lanes (one 512-bit register on the
+/// AVX-512 instance). Purely a batching width — the per-word fold order
+/// (and thus every rounded sum) is unchanged.
 const STRIP: usize = 8;
 
 /// Eight words, one per lane of a strip.
@@ -105,9 +105,9 @@ pub struct ErrorEval {
     /// evaluators only, else empty): plane `(k, o)` is the row
     /// `planes[(k * n_outputs + o) * plane_row..][..plane_row]`, bit `o`
     /// of the golden values (`k = 0`), the current values (`k = 1`) or
-    /// `|current - golden|` (`k = 2`) of every pattern, so eight
-    /// consecutive words of a plane are one load. Rows are padded with
-    /// zero words to a whole number of strips.
+    /// `|current - golden|` (`k = 2`) of every pattern. Rows are padded
+    /// with zero words to a whole number of strips, so `rebase` fills
+    /// them eight consecutive words at a time.
     planes: Vec<u64>,
     /// Words per plane row: `stride` rounded up to a multiple of
     /// [`STRIP`].
@@ -930,13 +930,14 @@ fn neg_step(d: Lanes, sign: Lanes, carry: &mut Lanes) -> Lanes {
     a
 }
 
-/// Whether the integer word kernel loads the strip `strip` (up to eight
-/// ascending deviating words of one candidate) as one 512-bit row per
-/// plane: the strip is full and its words are consecutive. Every other
-/// strip is loaded lane by lane.
-#[inline(always)]
-pub fn contiguous_strip(strip: &[u32]) -> bool {
-    strip.len() == STRIP && strip[STRIP - 1] - strip[0] == (STRIP - 1) as u32
+/// The full strips of a candidate's ascending deviating words `words`,
+/// as the integer word kernel folds them, each as whether its words are
+/// consecutive (`true`) or have a gap. The short last strip is not
+/// listed. Fuzzing uses it to count which strip shapes it reached.
+pub fn full_strips_consecutive(words: &[u32]) -> impl Iterator<Item = bool> + '_ {
+    words
+        .chunks_exact(STRIP)
+        .map(|s| s[STRIP - 1] - s[0] == (STRIP - 1) as u32)
 }
 
 dispatched! {
@@ -985,37 +986,24 @@ fn word_kernel_scalar(
         }
         let mut at = [strip[0] as usize; STRIP];
         let mut dev = [0u64; STRIP];
-        for (i, d) in dev.iter_mut().enumerate() {
-            *d = devs.get(i).copied().unwrap_or(0);
+        for (i, (a, d)) in at.iter_mut().zip(&mut dev).enumerate() {
+            if let (Some(&w), Some(&b)) = (strip.get(i), devs.get(i)) {
+                (*a, *d) = (w as usize, b);
+            }
         }
-        delta += if contiguous_strip(strip) {
-            for (i, a) in at.iter_mut().enumerate() {
-                *a += i;
-            }
-            strip_delta::<true>(eval, at, dev, outs, rows, &mut diff)
-        } else {
-            for (a, &w) in at.iter_mut().zip(strip) {
-                *a = w as usize;
-            }
-            strip_delta::<false>(eval, at, dev, outs, rows, &mut diff)
-        };
+        delta += strip_delta(eval, at, dev, outs, rows, &mut diff);
     }
     eval.bounded_result(eval.cur_sum + delta as f64, current, prune)
 }
 
-/// Loads the words `at` of `row`: one eight-word slice when `CONTIG`
-/// (`at` is then `at[0], at[0] + 1, ...`), else lane by lane.
+/// Loads the words `at` of `row`, lane by lane.
 #[inline(always)]
-fn load<const CONTIG: bool>(row: &[u64], at: &[usize; STRIP]) -> Lanes {
-    if CONTIG {
-        lanes(&row[at[0]..at[0] + STRIP])
-    } else {
-        let mut v = [0u64; STRIP];
-        for i in 0..STRIP {
-            v[i] = row[at[i]];
-        }
-        v
+fn load(row: &[u64], at: &[usize; STRIP]) -> Lanes {
+    let mut v = [0u64; STRIP];
+    for i in 0..STRIP {
+        v[i] = row[at[i]];
     }
+    v
 }
 
 /// The exact change of the summed error distance over the deviating
@@ -1028,7 +1016,7 @@ fn load<const CONTIG: bool>(row: &[u64], at: &[usize; STRIP]) -> Lanes {
 /// ones. With at most 53 outputs every term `2^o * popcnt` of a lane
 /// stays below `2^59`, and a strip's sum below `2^62`.
 #[inline(always)]
-fn strip_delta<const CONTIG: bool>(
+fn strip_delta(
     eval: &ErrorEval,
     at: [usize; STRIP],
     dev: Lanes,
@@ -1039,7 +1027,7 @@ fn strip_delta<const CONTIG: bool>(
     let (n, stride) = (eval.n_outputs, eval.stride);
     let mut f = [0u64; STRIP];
     for k in 0..outs.len() {
-        let r = load::<CONTIG>(&rows[k * stride..][..stride], &at);
+        let r = load(&rows[k * stride..][..stride], &at);
         for i in 0..STRIP {
             f[i] |= r[i];
         }
@@ -1053,21 +1041,21 @@ fn strip_delta<const CONTIG: bool>(
     let mut borrow = [0u64; STRIP];
     let mut k = 0;
     for (o, d) in diff.iter_mut().enumerate().take(n) {
-        let mut x = load::<CONTIG>(eval.plane(1, o), &at);
+        let mut x = load(eval.plane(1, o), &at);
         if k < outs.len() && outs[k] as usize == o {
-            let r = load::<CONTIG>(&rows[k * stride..][..stride], &at);
+            let r = load(&rows[k * stride..][..stride], &at);
             for i in 0..STRIP {
                 x[i] ^= r[i] & f[i];
             }
             k += 1;
         }
-        *d = sub_step(x, load::<CONTIG>(eval.plane(0, o), &at), &mut borrow);
+        *d = sub_step(x, load(eval.plane(0, o), &at), &mut borrow);
     }
     let mut carry = borrow;
     let mut acc = [0i64; STRIP];
     for (o, &d) in diff.iter().enumerate().take(n) {
         let a_new = neg_step(d, borrow, &mut carry);
-        let a_cur = load::<CONTIG>(eval.plane(2, o), &at);
+        let a_cur = load(eval.plane(2, o), &at);
         for i in 0..STRIP {
             let pops =
                 (a_new[i] & f[i]).count_ones() as i64 - (a_cur[i] & f[i]).count_ones() as i64;
@@ -1828,10 +1816,9 @@ mod tests {
 
     #[test]
     fn dispatched_word_delta_matches_scalar_and_pattern_sum() {
-        // Per strip of the plane-major layout, both load instances of
-        // the strip delta against the per-pattern integer sum, and the
-        // whole word kernel on every instance the CPU runs against its
-        // scalar body.
+        // Per strip of the plane-major layout, the strip delta against
+        // the per-pattern integer sum, and the whole word kernel on
+        // every instance the CPU runs against its scalar body.
         for (seed, n_outputs, n_patterns) in [
             (41u64, 1usize, 8192),
             (42, 16, 8192),
@@ -1854,12 +1841,8 @@ mod tests {
                     .iter()
                     .map(|&w| pattern_delta(&e, &c, w as usize))
                     .sum();
-                let per_lane = strip_delta::<false>(&e, at, dev, &c.outs, &c.rows, &mut diff);
-                assert_eq!(per_lane as i128, expect, "{at_}");
-                if contiguous_strip(strip) {
-                    let contig = strip_delta::<true>(&e, at, dev, &c.outs, &c.rows, &mut diff);
-                    assert_eq!(contig, per_lane, "{at_}");
-                }
+                let got = strip_delta(&e, at, dev, &c.outs, &c.rows, &mut diff);
+                assert_eq!(got as i128, expect, "{at_}");
             }
             assert_instances_agree(
                 &e,
@@ -1922,9 +1905,9 @@ mod tests {
     #[test]
     fn word_kernel_instances_agree_on_every_strip_shape() {
         // Word lists of 0, 1, 7, 8, 9, 63–65 and 127–129 words, each as
-        // one consecutive run (contiguous strips, short last strip) and
-        // with gaps (per-lane strips), at 16 and 33 outputs on a
-        // 131-word sample with a partial tail word.
+        // one consecutive run (consecutive strips, short last strip) and
+        // with gaps (gapped strips), at 16 and 33 outputs on a 131-word
+        // sample with a partial tail word.
         let n_patterns = 131 * 64 - 9;
         for n_outputs in [16usize, 33] {
             let c = masked_case(0x5171 + n_outputs as u64, n_patterns, n_outputs);
@@ -1933,7 +1916,7 @@ mod tests {
             assert!(e.word_kernel_eligible());
             let mut next = lcg(n_outputs as u64);
             let dev: Vec<u64> = (0..131).map(|_| next() | next()).collect();
-            let (mut contiguous, mut per_lane) = (0usize, 0usize);
+            let (mut consecutive, mut gapped_strips, mut short) = (0usize, 0usize, 0usize);
             for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129] {
                 // A run ending on the partial tail word, and a list with
                 // a gap after every fifth word.
@@ -1946,19 +1929,23 @@ mod tests {
                 };
                 for words in [run, gapped] {
                     assert_eq!(words.len(), len);
-                    for strip in words.chunks(STRIP) {
-                        if contiguous_strip(strip) {
-                            contiguous += 1;
+                    for full in full_strips_consecutive(&words) {
+                        if full {
+                            consecutive += 1;
                         } else {
-                            per_lane += 1;
+                            gapped_strips += 1;
                         }
                     }
+                    short += usize::from(len % STRIP != 0);
                     let bits: Vec<u64> = words.iter().map(|&w| dev[w as usize]).collect();
                     let at = format!("outputs {n_outputs} words {words:?}");
                     assert_instances_agree(&e, &words, &bits, &c.outs, &c.rows, &at);
                 }
             }
-            assert!(contiguous > 0 && per_lane > 0, "{contiguous} {per_lane}");
+            assert!(
+                consecutive > 0 && gapped_strips > 0 && short > 0,
+                "{consecutive} {gapped_strips} {short}"
+            );
         }
     }
 

@@ -47,7 +47,7 @@
 mod eval;
 mod kinds;
 
-pub use eval::{contiguous_strip, BoundedScore, ErrorEval, PAT_CHUNK};
+pub use eval::{full_strips_consecutive, BoundedScore, ErrorEval, PAT_CHUNK};
 pub use kinds::MetricKind;
 
 use bitsim::{simulate, Patterns, Sim};

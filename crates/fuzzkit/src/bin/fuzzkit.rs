@@ -14,16 +14,18 @@
 //! is the fixed CI configuration (pinned seed, small iteration count);
 //! it also fails unless its top-k checks reached all three scoring
 //! kernels (the integer word kernel, the per-pattern fold, and the
-//! exact ER/WCE scorers) and some integer-word check scored a strip of
-//! deviating words loaded lane by lane. Every run prints the kernel
-//! instance the host's CPU selected (`aig::dispatch::level`).
+//! exact ER/WCE scorers), and unless the integer-word checks scored
+//! both a full strip of consecutive deviating words and a full strip
+//! with a gap (see [`errmetrics::full_strips_consecutive`]). Every run
+//! prints the kernel instance the host's CPU selected
+//! (`aig::dispatch::level`).
 
 use std::process::ExitCode;
 
 use fuzzkit::{run_case, shrink, Fault, FuzzCase};
 
 const SMOKE_SEED: u64 = 0xacca15;
-const SMOKE_ITERS: u64 = 10;
+const SMOKE_ITERS: u64 = 100;
 
 struct Args {
     seed: u64,
@@ -110,12 +112,13 @@ fn main() -> ExitCode {
 
     let mut ran = 0u64;
     let (mut word_kernel, mut pattern_kernel, mut exact) = (0usize, 0usize, 0usize);
-    let mut lane_strips = 0usize;
+    let (mut consecutive, mut gapped) = (0usize, 0usize);
     let failure = fuzzkit::soak(args.seed, args.iters, args.fault, |i, outcome| {
         ran = i + 1;
         if let Ok(stats) = outcome {
             word_kernel += stats.topk_word_kernel;
-            lane_strips += stats.topk_word_lane_strips;
+            consecutive += stats.topk_word_consecutive_strips;
+            gapped += stats.topk_word_gapped_strips;
             pattern_kernel += stats.topk_pattern_kernel;
             exact += stats.topk_exact;
             if !args.quiet && (i + 1) % 50 == 0 {
@@ -131,7 +134,8 @@ fn main() -> ExitCode {
             );
             println!(
                 "fuzzkit: top-k checks by scoring kernel: {word_kernel} integer word \
-                 ({lane_strips} with per-lane strips), {pattern_kernel} per-pattern, \
+                 ({consecutive} with consecutive strips, {gapped} with gapped strips), \
+                 {pattern_kernel} per-pattern, \
                  {exact} exact (ER/WCE); kernel instance {}",
                 aig::dispatch::level()
             );
@@ -139,8 +143,11 @@ fn main() -> ExitCode {
                 println!("fuzzkit: the smoke run must reach all three top-k scoring kernels");
                 return ExitCode::FAILURE;
             }
-            if args.smoke && lane_strips == 0 {
-                println!("fuzzkit: the smoke run must score a per-lane strip on the word kernel");
+            if args.smoke && (consecutive == 0 || gapped == 0) {
+                println!(
+                    "fuzzkit: the smoke run must score consecutive and gapped strips \
+                     on the word kernel"
+                );
                 return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS

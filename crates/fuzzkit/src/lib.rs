@@ -251,10 +251,12 @@ pub fn case_from_stream(base_seed: u64, i: u64, fault: Fault) -> FuzzCase {
         n_pis: rng.gen_range(3..=8),
         n_ands,
         n_ops: rng.gen_range(2..=7),
+        // Samples of 1 to 24 words, so that MED/NMED word lists reach
+        // the word kernel's full eight-word strips.
         n_patterns: if rng.gen_bool(0.8) {
             0
         } else {
-            64 * rng.gen_range(1..=3usize)
+            64 * rng.gen_range(1..=24usize)
         },
         fault,
     }

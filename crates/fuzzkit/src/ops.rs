@@ -30,7 +30,7 @@ use accals::topset::{obtain_top_set, obtain_top_set_from};
 use accals::{Accals, AccalsConfig, SizeParam, TrialEval, WindowSpec};
 use aig::{remap, Aig, Lit, NodeId};
 use bitsim::{simulate, simulate_into, ConeTopology, PatchSimulator, Patterns, Sim};
-use errmetrics::{contiguous_strip, ErrorEval, MetricKind};
+use errmetrics::{full_strips_consecutive, ErrorEval, MetricKind};
 use estimate::{BatchEstimator, MaskCache};
 use lac::{
     apply_all, generate_candidates, generate_candidates_windowed_counted, CandidateConfig,
@@ -99,9 +99,12 @@ pub struct CaseStats {
     /// word kernel (MED/NMED within the `2^53` limit).
     pub topk_word_kernel: usize,
     /// Of those, the checks where some candidate's deviating words hold
-    /// a strip the kernel loads lane by lane (short or with a gap; see
-    /// [`errmetrics::contiguous_strip`]).
-    pub topk_word_lane_strips: usize,
+    /// a full strip of consecutive words (see
+    /// [`errmetrics::full_strips_consecutive`]).
+    pub topk_word_consecutive_strips: usize,
+    /// Of those, the checks where some candidate's deviating words hold
+    /// a full strip with a gap.
+    pub topk_word_gapped_strips: usize,
     /// Top-k scoring checks whose bounded replay ran on the per-pattern
     /// fold (MRED, MSE, and MED/NMED beyond the limit).
     pub topk_pattern_kernel: usize,
@@ -346,9 +349,15 @@ impl<'c> Driver<'c> {
                 self.stats.topk_exact += checks;
             } else if eval.word_kernel_eligible() {
                 self.stats.topk_word_kernel += checks;
-                let per_lane = |d: &DevView| d.words.chunks(8).any(|s| !contiguous_strip(s));
-                if devs.iter().any(per_lane) {
-                    self.stats.topk_word_lane_strips += checks;
+                let holds = |shape: bool| {
+                    devs.iter()
+                        .any(|d| full_strips_consecutive(d.words).any(|c| c == shape))
+                };
+                if holds(true) {
+                    self.stats.topk_word_consecutive_strips += checks;
+                }
+                if holds(false) {
+                    self.stats.topk_word_gapped_strips += checks;
                 }
             } else {
                 self.stats.topk_pattern_kernel += checks;
