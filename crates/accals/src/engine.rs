@@ -16,7 +16,9 @@
 //!
 //! - [`FlowCaches`] owns the bound-independent warm state (mask cache,
 //!   candidate store, error evaluator, last commit remap) and can
-//!   [`FlowCaches::fork`] when trajectories diverge;
+//!   [`FlowCaches::fork`] when trajectories diverge. Dense rounds roll
+//!   the two caches through the last commit remap; windowed rounds
+//!   start both empty, since each window scores a different region;
 //! - [`step_cohort`] is the one round driver. It advances a *cohort* —
 //!   instances of one family (equal configuration except the bound)
 //!   whose trajectories are still identical — paying the shared phases
@@ -174,31 +176,21 @@ pub(crate) fn prepare_round(
 ) -> Option<RoundShared> {
     let sim = simulate_into(current, pats, caches.sig_bufs.take().unwrap_or_default());
     caches.eval.rebase(&sim.output_sigs(current));
-    // The pending commit remap rolls each cache forward exactly once
-    // per circuit revision. A windowed round may try several windows
-    // against the same revision (a region can come up empty), so after
-    // a cache's first roll this revision it sits at the current ids and
-    // later attempts roll it through the identity instead.
+    // A dense attempt (no window, or the circuit fits in one) rolls
+    // both caches through the pending commit remap and is the round's
+    // only attempt. Windowed attempts pass no remap, so both caches
+    // start empty: carried entries would belong to regions the window
+    // leaves out (DESIGN.md §14).
     let pending = caches.last_remap.take();
-    let identity: Vec<Option<Lit>> = if cfg.window.is_some() {
-        aig::remap::identity(current.n_nodes())
-    } else {
-        Vec::new()
-    };
-    let roll = |rolled: bool| {
-        if rolled {
-            Some(identity.as_slice())
-        } else {
-            pending.as_deref()
-        }
-    };
-    let mut store_rolled = false;
-    let mut mask_rolled = false;
     // Two full rotations bound the empty-window retries: one pass over
     // the segments untouched this epoch, and — after the epoch resets —
-    // one over the rest. Every segment has then proven empty.
-    let n_attempts = match &cfg.window {
-        Some(spec) => 2 * crate::window::segment_count(current, spec),
+    // one over the rest. Every segment has then proven empty. A
+    // circuit that fits in one window gets its one dense attempt.
+    let n_attempts = match cfg.window.as_ref() {
+        Some(spec) => match crate::window::segment_count(current, spec) {
+            1 => 1,
+            n => 2 * n,
+        },
         None => 1,
     };
     for _ in 0..n_attempts {
@@ -214,30 +206,23 @@ pub(crate) fn prepare_round(
         });
         let win_mask = win.as_ref().map(|w| w.mask.as_slice());
         let window_targets = win.as_ref().map_or(0, |w| w.targets);
+        let remap = if win.is_some() {
+            None
+        } else {
+            pending.as_deref()
+        };
         let t_candgen = Instant::now();
-        let cands = caches.store.generate(
-            current,
-            &sim,
-            &cfg.candidates,
-            roll(store_rolled),
-            pool,
-            win_mask,
-        );
-        store_rolled = true;
+        let cands = caches
+            .store
+            .generate(current, &sim, &cfg.candidates, remap, pool, win_mask);
         let gen_ctrs = caches.store.last_gen_counters();
         let candgen_ms = ms(t_candgen.elapsed());
         if cands.is_empty() {
             continue;
         }
-        let mut estimator = BatchEstimator::with_cache(
-            current,
-            &sim,
-            &caches.eval,
-            &mut caches.mask,
-            roll(mask_rolled),
-        )
-        .use_pool(pool);
-        mask_rolled = true;
+        let mut estimator =
+            BatchEstimator::with_cache(current, &sim, &caches.eval, &mut caches.mask, remap)
+                .use_pool(pool);
         // Only candidates that can enter the round's top set need exact
         // scores: `r_top` never exceeds `max(r_ref, r_min)` (ties at the
         // minimum are always scored exactly), and the single-mode ladder
@@ -249,11 +234,6 @@ pub(crate) fn prepare_round(
         let phases = estimator.phases();
         let topo = Arc::clone(estimator.topology());
         drop(estimator);
-        if let Some(w) = win_mask {
-            // Keep transfer-mask memory O(window): masks for regions
-            // the rotation has left are cheap to recompute on return.
-            caches.mask.retain_only(w);
-        }
         if scored.is_empty() {
             continue;
         }
@@ -813,9 +793,10 @@ impl FlowInstance {
     /// *window*, not the circuit: the edit is discarded and the flow
     /// retries from the unchanged revision, letting the rotation move
     /// to the next region — until a full rotation of consecutive
-    /// failures proves no window can make progress. The caller rolls
-    /// the caches' pending remap forward on `Adopt`, and through the
-    /// identity on `Retry`.
+    /// failures proves no window can make progress. On `Adopt` the
+    /// caller leaves the commit remap pending for the caches; on
+    /// `Retry` it leaves none, since the next windowed round starts
+    /// them empty.
     fn conclude(&mut self, committed: &Committed, t: RoundTrace) -> RoundOutcome {
         let e_after = t.e_after;
         let applied = t.applied;
@@ -982,7 +963,6 @@ fn step_cohort_impl(
             .all(|m| m.current.n_nodes() == base.n_nodes()),
         "cohort members share one circuit"
     );
-    let base_nodes = base.n_nodes();
     let decisions = decide_cohort(members, &base, caches);
     members[0].current = base;
     let Some(decisions) = decisions else {
@@ -1008,7 +988,7 @@ fn step_cohort_impl(
     // downstream cache state. Distinct sets reaching the same circuit
     // are (conservatively, safely) treated as separate branches.
     // Windowed retries form one extra branch staying on the base
-    // circuit (its caches roll through the identity).
+    // circuit, with no remap pending (windowed rounds roll none).
     let mut groups: Vec<(Vec<usize>, Option<Arc<Committed>>)> = Vec::new();
     for (i, oc) in outcomes.iter().enumerate() {
         if let Some(c) = oc {
@@ -1051,23 +1031,18 @@ fn step_cohort_impl(
     }
     let mut out = Vec::with_capacity(groups.len());
     for (gi, (idxs, c)) in groups.into_iter().enumerate() {
-        let remap = match &c {
-            Some(c) => c.remap.clone(),
-            // Retry branch: the base circuit is unchanged, so its
-            // caches roll through the identity.
-            None => aig::remap::identity(base_nodes),
-        };
+        let remap = c.map(|c| c.remap.clone());
         if gi == 0 {
             // The first group keeps the shared caches; its remap is
             // what the next prepare rolls them through.
-            caches.last_remap = Some(remap);
+            caches.last_remap = remap;
             out.push(CohortSplit {
                 members: idxs,
                 caches: None,
             });
         } else {
             let mut f = caches.fork();
-            f.last_remap = Some(remap);
+            f.last_remap = remap;
             out.push(CohortSplit {
                 members: idxs,
                 caches: Some(f),
@@ -1122,4 +1097,70 @@ fn decide_cohort(
         .collect();
     scratch.finish(&caches.patches);
     Some(decisions)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SizeParam, WindowSpec};
+    use aig::NodeId;
+
+    #[test]
+    fn windowed_steps_start_both_caches_empty() {
+        let golden = benchgen::suite::by_name("rca32").expect("suite circuit");
+        let mut cfg = AccalsConfig::new(MetricKind::Nmed, 0.02);
+        cfg.r_ref = SizeParam::Fixed(40);
+        cfg.r_sel = SizeParam::Fixed(8);
+        cfg.max_exhaustive = 1 << 10;
+        cfg.n_random_patterns = 1 << 10;
+        cfg.window = Some(WindowSpec { max_targets: 64 });
+        let pats = Arc::new(Patterns::for_circuit(
+            golden.n_pis(),
+            cfg.max_exhaustive,
+            cfg.n_random_patterns,
+            cfg.seed,
+        ));
+        let pool: &'static ThreadPool = Box::leak(Box::new(ThreadPool::new(2)));
+        let (mut flow, mut caches) = FlowInstance::new(cfg, pool, &golden, pats);
+        let mut windowed = 0;
+        loop {
+            let base_nodes = flow.current().n_nodes();
+            let n_rounds = flow.rounds().len();
+            let (store0, mask0) = (caches.store.stats(), caches.mask.stats());
+            let going = flow.step(&mut caches);
+            let t = match flow.rounds().get(n_rounds) {
+                Some(t) if t.window_targets > 0 => t,
+                _ if going => continue,
+                _ => break,
+            };
+            windowed += 1;
+            let at = format!("round {}", t.round);
+            assert_eq!(
+                caches.store.stats().carried,
+                store0.carried,
+                "{at}: store carried"
+            );
+            assert_eq!(
+                caches.mask.stats().carried,
+                mask0.carried,
+                "{at}: masks carried"
+            );
+            // The store holds an entry for every in-window target and
+            // for nothing else; the scored population is its list less
+            // the candidates without positive gain.
+            let held = (0..base_nodes)
+                .filter(|&i| caches.store.entry_born(NodeId::new(i)).is_some())
+                .count();
+            assert_eq!(held, t.window_targets, "{at}: store entries");
+            let n_devs = caches.store.devs().len();
+            assert!(
+                n_devs >= t.n_candidates && n_devs > 0,
+                "{at}: {n_devs} devs"
+            );
+            if !going {
+                break;
+            }
+        }
+        assert!(windowed >= 2, "only {windowed} windowed rounds ran");
+    }
 }

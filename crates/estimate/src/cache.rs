@@ -22,6 +22,11 @@
 //! cached and from-scratch estimation agree exactly; polarity flips in
 //! the remapping are harmless because Boolean-difference masks are
 //! polarity independent.
+//!
+//! Windowed flows roll with no remap every round (a flush). Each round
+//! scores a different region's targets, so carried masks went unread
+//! (DESIGN.md §14), and the flush keeps mask memory at one window's
+//! worth.
 
 use aig::remap::{image, struct_eq};
 use aig::{Aig, Fanouts, Lit, Node, NodeId};
@@ -161,20 +166,6 @@ impl MaskCache {
     /// Returns a simulator taken with [`MaskCache::checkout_cone`].
     pub(crate) fn restore_cone(&self, cs: ConeSimulator) {
         self.cones.put(cs);
-    }
-
-    /// Drops every cached entry whose node is not set in `keep`
-    /// (indexed by `NodeId::index` at the cache's current revision).
-    /// Dropping an entry only ever costs a recomputation on the next
-    /// lookup — never correctness — so windowed flows use this to keep
-    /// transfer-mask memory `O(window)` instead of accumulating masks
-    /// for every region the rotation has visited.
-    pub fn retain_only(&mut self, keep: &[bool]) {
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            if e.is_some() && !keep.get(i).copied().unwrap_or(false) {
-                *e = None;
-            }
-        }
     }
 
     /// Forks the cache at its current revision: the fork carries the

@@ -16,9 +16,10 @@
 //! kernels (the integer word kernel, the per-pattern fold, and the
 //! exact ER/WCE scorers), and unless the integer-word checks scored
 //! both a full strip of consecutive deviating words and a full strip
-//! with a gap (see [`errmetrics::full_strips_consecutive`]). Every run
-//! prints the kernel instance the host's CPU selected
-//! (`aig::dispatch::level`).
+//! with a gap (see [`errmetrics::full_strips_consecutive`]), and unless
+//! at least one `window` op ran. Every run prints the kernel instance
+//! the host's CPU selected (`aig::dispatch::level`) and the number of
+//! `window` ops.
 
 use std::process::ExitCode;
 
@@ -113,6 +114,7 @@ fn main() -> ExitCode {
     let mut ran = 0u64;
     let (mut word_kernel, mut pattern_kernel, mut exact) = (0usize, 0usize, 0usize);
     let (mut consecutive, mut gapped) = (0usize, 0usize);
+    let mut windows = 0usize;
     let failure = fuzzkit::soak(args.seed, args.iters, args.fault, |i, outcome| {
         ran = i + 1;
         if let Ok(stats) = outcome {
@@ -121,6 +123,7 @@ fn main() -> ExitCode {
             gapped += stats.topk_word_gapped_strips;
             pattern_kernel += stats.topk_pattern_kernel;
             exact += stats.topk_exact;
+            windows += stats.windows;
             if !args.quiet && (i + 1) % 50 == 0 {
                 println!("  ... {} cases clean", i + 1);
             }
@@ -139,6 +142,7 @@ fn main() -> ExitCode {
                  {exact} exact (ER/WCE); kernel instance {}",
                 aig::dispatch::level()
             );
+            println!("fuzzkit: {windows} window ops (windowed vs filtered candidate lists)");
             if args.smoke && (word_kernel == 0 || pattern_kernel == 0 || exact == 0) {
                 println!("fuzzkit: the smoke run must reach all three top-k scoring kernels");
                 return ExitCode::FAILURE;
@@ -148,6 +152,10 @@ fn main() -> ExitCode {
                     "fuzzkit: the smoke run must score consecutive and gapped strips \
                      on the word kernel"
                 );
+                return ExitCode::FAILURE;
+            }
+            if args.smoke && windows == 0 {
+                println!("fuzzkit: the smoke run must run the window op");
                 return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS

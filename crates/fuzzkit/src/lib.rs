@@ -75,22 +75,16 @@ pub enum Fault {
     /// stay on the first branch's circuit and shared caches for one
     /// extra round before splitting.
     SweepStaleFork,
-    /// Ignore the window membership mask when the `CandidateStore`
-    /// emits candidates (see `CandidateStore::inject_window_leak`), so
-    /// carried out-of-window entries leak through the boundary freeze
-    /// into a windowed round's candidate list.
-    WindowLeak,
 }
 
 impl Fault {
     /// Every fault, in declaration order.
-    pub const ALL: [Fault; 6] = [
+    pub const ALL: [Fault; 5] = [
         Fault::None,
         Fault::StoreSkipFanout,
         Fault::StoreStaleArena,
         Fault::TopkLooseBound,
         Fault::SweepStaleFork,
-        Fault::WindowLeak,
     ];
 
     /// The fault's name in repro lines and on the `fuzzkit --fault`
@@ -102,7 +96,6 @@ impl Fault {
             Fault::StoreStaleArena => "store-arena",
             Fault::TopkLooseBound => "topk-bound",
             Fault::SweepStaleFork => "sweep-stale-fork",
-            Fault::WindowLeak => "window-leak",
         }
     }
 }
@@ -343,7 +336,7 @@ mod tests {
                 n_ands: 8,
                 n_ops: 6,
                 n_patterns: 64,
-                fault: Fault::WindowLeak,
+                fault: Fault::None,
             },
         ];
         for c in cases {
@@ -363,8 +356,7 @@ mod tests {
                 Fault::StoreSkipFanout => Some(Fault::StoreStaleArena),
                 Fault::StoreStaleArena => Some(Fault::TopkLooseBound),
                 Fault::TopkLooseBound => Some(Fault::SweepStaleFork),
-                Fault::SweepStaleFork => Some(Fault::WindowLeak),
-                Fault::WindowLeak => None,
+                Fault::SweepStaleFork => None,
             }
         }
         let walked: Vec<Fault> = std::iter::successors(Some(Fault::None), |&f| next(f)).collect();
@@ -372,7 +364,7 @@ mod tests {
         for f in Fault::ALL {
             assert_eq!(f.name().parse::<Fault>(), Ok(f));
         }
-        assert!("window_leak".parse::<Fault>().is_err());
+        assert!("sweep_stale_fork".parse::<Fault>().is_err());
     }
 
     #[test]

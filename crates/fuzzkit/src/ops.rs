@@ -649,13 +649,11 @@ impl<'c> Driver<'c> {
     }
 
     /// The windowed-round differential oracle: a window is a pure
-    /// filter, so windowed candidate generation — fresh or served from
-    /// store-carried entries — must equal full generation restricted to
-    /// in-window targets, and a window spanning the whole circuit must
-    /// leave the synthesis flow bit-identical to the dense flow. The
-    /// store-carried comparison is the oracle that catches
-    /// [`Fault::WindowLeak`]: carried out-of-window entries escaping
-    /// the boundary freeze into a windowed round's list.
+    /// filter, so windowed candidate generation — fresh, or through a
+    /// warm store, which must drop its entries and regenerate the
+    /// window — must equal full generation restricted to in-window
+    /// targets, and a window spanning the whole circuit must leave the
+    /// synthesis flow bit-identical to the dense flow.
     fn window_op(&mut self) -> Result<(), Failure> {
         if self.current.n_ands() == 0 {
             return Ok(());
@@ -699,8 +697,9 @@ impl<'c> Driver<'c> {
         }
 
         // Warm the store at the full span, then ask for the windowed
-        // list again with nothing changed: every entry is carried, and
-        // emission alone must enforce the window boundary.
+        // list again with nothing changed: a windowed call carries
+        // nothing, even through the identity remap, so the store must
+        // regenerate exactly the in-window targets.
         let warm = self.store.generate(
             &self.current,
             &sim,
@@ -949,9 +948,6 @@ fn run_case_inner(case: &FuzzCase, op_at: &std::cell::Cell<usize>) -> Result<Cas
     }
     if case.fault == Fault::StoreStaleArena {
         store.inject_stale_arena_carry(true);
-    }
-    if case.fault == Fault::WindowLeak {
-        store.inject_window_leak(true);
     }
     let mut drv = Driver {
         case,

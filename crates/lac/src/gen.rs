@@ -591,23 +591,15 @@ pub(crate) fn gen_node(
 ///
 /// Panics if `sim` does not match `aig`.
 pub fn generate_candidates(aig: &Aig, sim: &Sim, cfg: &CandidateConfig) -> Vec<Lac> {
-    generate_candidates_counted(aig, sim, cfg).0
+    generate_candidates_windowed_counted(aig, sim, cfg, None).0
 }
 
-/// [`generate_candidates`] plus the [`GenCounters`] the pass
-/// accumulated (every node is a pool miss on this fresh path).
-pub fn generate_candidates_counted(
-    aig: &Aig,
-    sim: &Sim,
-    cfg: &CandidateConfig,
-) -> (Vec<Lac>, GenCounters) {
-    generate_candidates_windowed_counted(aig, sim, cfg, None)
-}
-
-/// [`generate_candidates_counted`] restricted to a target window: only
-/// nodes with `window[id.index()]` set generate candidates. Because
-/// each node's candidates are a pure function of `(circuit, sample,
-/// cfg, node)` — see [`generate_candidates`] — the windowed list is
+/// [`generate_candidates`] restricted to a target window, plus the
+/// [`GenCounters`] the pass accumulated (every node is a pool miss on
+/// this fresh path). Only nodes with `window[id.index()]` set generate
+/// candidates; `None` means every node. Because each node's candidates
+/// are a pure function of `(circuit, sample, cfg, node)` — see
+/// [`generate_candidates`] — the windowed list is
 /// exactly the full list filtered to window targets, in the same
 /// order. Substitute signals may still come from anywhere in the
 /// divisor pool: the window bounds what is *rewritten*, not what is

@@ -39,8 +39,7 @@ mod store;
 mod strips;
 
 pub use gen::{
-    generate_candidates, generate_candidates_counted, generate_candidates_windowed_counted,
-    CandidateConfig, GenCounters,
+    generate_candidates, generate_candidates_windowed_counted, CandidateConfig, GenCounters,
 };
 pub use kinds::{Lac, LacKind};
 pub use store::{deviation_into, CandidateStore, DevMask, DevView, StoreStats};

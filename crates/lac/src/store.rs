@@ -10,6 +10,13 @@
 //! input its generation read is provably unchanged, so the store's
 //! output is bit-identical to fresh [`crate::generate_candidates`].
 //!
+//! Only unwindowed calls carry. A windowed call (a target membership
+//! mask, one per windowed round) starts from an empty table and
+//! regenerates exactly its in-window nodes: successive windows visit
+//! different regions, so entries carried for one window would only be
+//! filtered out of the next, and the store holds one window's entries
+//! at a time.
+//!
 //! Storage is a typed arena ([`CandArena`]) rather than per-node heap
 //! structures: candidate records, dep/fanout lists, and the sparse
 //! deviation payloads all live in contiguous vectors, and each node's
@@ -146,21 +153,12 @@ pub struct StoreStats {
     /// Calls to [`CandidateStore::generate`].
     pub rounds: usize,
     /// Generations that discarded every entry (no remap, shape or
-    /// config change).
+    /// config change, or a window).
     pub flushes: usize,
     /// Entries carried across a roll (candidate-list cache hits).
     pub carried: usize,
     /// Nodes whose candidates had to be regenerated (cache misses).
     pub regenerated: usize,
-    /// Misses by first failed survival condition, for diagnosing carry
-    /// rates: target node not clean (structure/level/signature/phase),
-    /// fanout list changed, a dep unclean, dep id-order not preserved,
-    /// or a dirty pool node reaching a selection floor.
-    pub inv_target: usize,
-    pub inv_fanout: usize,
-    pub inv_deps: usize,
-    pub inv_dep_order: usize,
-    pub inv_pool: usize,
 }
 
 /// A `(start, len)` slice handle into one of the arena's vectors.
@@ -404,14 +402,6 @@ pub struct CandidateStore {
     /// Test-support fault injection: carry region copies without the
     /// remap rewrite. See [`CandidateStore::inject_stale_arena_carry`].
     stale_arena_carry: bool,
-    /// Window mask of the last generate call (`None` = unwindowed):
-    /// entries outside it are retained across rounds — carried
-    /// wholesale, never regenerated — but excluded from the emitted
-    /// list and [`CandidateStore::devs`].
-    win_mask: Option<Vec<bool>>,
-    /// Test-support fault injection: ignore the window mask at
-    /// emission. See [`CandidateStore::inject_window_leak`].
-    window_leak: bool,
 }
 
 /// Positive (non-negated) node image, or `None`.
@@ -451,11 +441,12 @@ impl CandidateStore {
     /// every entry. Dirty nodes are regenerated on `pool`; results are
     /// independent of the thread count.
     ///
-    /// `window` restricts the round to a target region: only in-window
-    /// nodes are regenerated or emitted (the list equals
+    /// `window` restricts the round to a target region: a windowed call
+    /// never carries (it ignores `remap`), so the store then holds
+    /// entries for exactly the in-window nodes, every one regenerated,
+    /// and the list equals
     /// [`crate::generate_candidates_windowed_counted`] on the same
-    /// inputs), while out-of-window entries are carried wholesale for
-    /// later rounds — they cost neither regeneration nor emission.
+    /// inputs.
     ///
     /// # Panics
     ///
@@ -496,6 +487,7 @@ impl CandidateStore {
             || stride != self.stride
             || sim.n_patterns() != self.n_patterns
             || self.cfg_key.as_ref() != Some(cfg)
+            || window.is_some()
         {
             None
         } else {
@@ -527,12 +519,9 @@ impl CandidateStore {
         // Regenerate every live AND node without a surviving entry, in
         // parallel. gen_node depends only on (ctx, id), so chunking is
         // unobservable in the results: each chunk builds a private
-        // mini-arena, and the chunks are appended in dirty order.
-        // Window-scoped regeneration: out-of-window nodes are never
-        // regenerated this round — a dirty one simply stays without an
-        // entry until a later window (or an unwindowed round) reaches
-        // it, while valid out-of-window entries ride through carry
-        // untouched.
+        // mini-arena, and the chunks are appended in dirty order. A
+        // windowed call starts from an empty table and fills exactly
+        // its in-window nodes.
         let in_window = |id: &NodeId| window.is_none_or(|w| w[id.index()]);
         let dirty: Vec<NodeId> = aig
             .and_ids()
@@ -632,23 +621,10 @@ impl CandidateStore {
         self.snap_levels = levels;
         self.snap_live = live;
         self.snap_pool = pool_nodes;
-        // The leak fault drops the emission filter, so carried
-        // out-of-window entries surface in the list — the boundary
-        // violation the fuzz oracle exists to catch.
-        self.win_mask = match window {
-            Some(w) if !self.window_leak => Some(w[..n_new].to_vec()),
-            _ => None,
-        };
 
         let mut out = Vec::with_capacity(self.arena.cands.len());
-        for (i, m) in self.entries.iter().enumerate() {
-            let Some(m) = m else { continue };
+        for m in self.entries.iter().flatten() {
             debug_assert_eq!(m.epoch, self.arena.epoch, "stale entry epoch");
-            if let Some(w) = &self.win_mask {
-                if !w[i] {
-                    continue;
-                }
-            }
             out.extend_from_slice(&self.arena.cands[m.cands.range()]);
         }
         out
@@ -659,14 +635,8 @@ impl CandidateStore {
     /// from the arena (no payload is copied or allocated).
     pub fn devs(&self) -> Vec<DevView<'_>> {
         let mut out = Vec::with_capacity(self.arena.cands.len());
-        for (i, m) in self.entries.iter().enumerate() {
-            let Some(m) = m else { continue };
+        for m in self.entries.iter().flatten() {
             debug_assert_eq!(m.epoch, self.arena.epoch, "stale entry epoch");
-            if let Some(w) = &self.win_mask {
-                if !w[i] {
-                    continue;
-                }
-            }
             for ci in m.cands.range() {
                 let r = self.arena.dev_index[ci];
                 out.push(DevView {
@@ -825,7 +795,6 @@ impl CandidateStore {
                 continue;
             };
             if !clean[m] {
-                self.stats.inv_target += 1;
                 continue;
             }
             let id = NodeId::new(m);
@@ -844,7 +813,6 @@ impl CandidateStore {
                     .zip(fos)
                     .all(|(&d, &f)| node_image(remap, d) == Some(f) && struct_clean[f.index()]);
             if !fo_ok && !self.skip_fanout_invalidation {
-                self.stats.inv_fanout += 1;
                 continue;
             }
             let deps = &self.arena.deps[meta.deps.range()];
@@ -852,7 +820,6 @@ impl CandidateStore {
                 .iter()
                 .all(|&d| node_image(remap, d).is_some_and(|i| clean[i.index()]))
             {
-                self.stats.inv_deps += 1;
                 continue;
             }
             // Wire ranking and binary/ternary divisor keys break
@@ -873,7 +840,6 @@ impl CandidateStore {
                 })
             };
             if !dep_order_ok {
-                self.stats.inv_dep_order += 1;
                 continue;
             }
             let pool_ok = {
@@ -888,7 +854,6 @@ impl CandidateStore {
                 }
             };
             if !pool_ok {
-                self.stats.inv_pool += 1;
                 continue;
             }
             out[m] = Some(carry_entry(
@@ -931,8 +896,6 @@ impl CandidateStore {
             last_counters: self.last_counters,
             skip_fanout_invalidation: self.skip_fanout_invalidation,
             stale_arena_carry: self.stale_arena_carry,
-            win_mask: self.win_mask.clone(),
-            window_leak: self.window_leak,
         }
     }
 
@@ -968,16 +931,6 @@ impl CandidateStore {
     #[doc(hidden)]
     pub fn inject_stale_arena_carry(&mut self, on: bool) {
         self.stale_arena_carry = on;
-    }
-
-    /// Test-support fault injection: when enabled, a windowed
-    /// [`CandidateStore::generate`] ignores the window mask at emission,
-    /// so entries carried for out-of-window (frozen-boundary) nodes leak
-    /// into the returned list — the boundary-freeze violation the
-    /// `fuzzkit` window oracle must catch. Never enable outside tests.
-    #[doc(hidden)]
-    pub fn inject_window_leak(&mut self, on: bool) {
-        self.window_leak = on;
     }
 }
 

@@ -139,33 +139,6 @@ fn injected_sweep_stale_fork_is_caught_and_shrunk() {
     assert_eq!(refail.oracle, result.failure.oracle);
 }
 
-/// Same exercise for the windowed round's boundary freeze: make the
-/// `CandidateStore` ignore the window membership mask at emission, so
-/// carried out-of-window entries leak into a windowed round's candidate
-/// list, and confirm the windowed-vs-filtered differential oracle
-/// catches the leak within a short soak.
-#[test]
-fn injected_window_leak_is_caught() {
-    let failure = fuzzkit::soak(0xacca15, 50, Fault::WindowLeak, |_, _| {})
-        .expect("injected window leak must be caught within 50 cases");
-    assert!(
-        failure.oracle.starts_with("window/"),
-        "expected a window oracle to fire, got {}",
-        failure.oracle
-    );
-
-    // The repro line round-trips and still fails with the same oracle.
-    let line = failure.repro_line();
-    assert!(
-        line.ends_with("fault=window-leak"),
-        "bad repro line: {line}"
-    );
-    let reparsed: FuzzCase = line.parse().expect("repro line must parse");
-    assert_eq!(reparsed, failure.case);
-    let refail = run_case(&reparsed).expect_err("repro must still fail");
-    assert_eq!(refail.oracle, failure.oracle);
-}
-
 /// Same exercise for the top-k scorer's soundness oracle: publish an
 /// unsound (too low) pruning threshold, so genuinely cheap candidates
 /// are abandoned before exact scoring, and confirm the differential

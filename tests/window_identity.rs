@@ -12,8 +12,8 @@
 //!   still terminates at or under the error bound (a windowed round
 //!   that overshoots is retried on the next window, never committed);
 //! - the `CandidateStore`'s windowed emission is a pure filter of the
-//!   full candidate list, including when every entry is carried from a
-//!   previous full-span generation;
+//!   full candidate list, also on a store a full-span generation
+//!   warmed: a windowed call carries none of its entries;
 //! - a windowed sweep instance is bit-identical to the same windowed
 //!   configuration run standalone (window membership is part of the
 //!   cohort family key).
@@ -168,17 +168,28 @@ fn store_windowed_emission_is_a_pure_filter() {
     );
 
     // Warm store: a full-span generation populates every entry; the
-    // windowed call after it serves carried entries and must filter
-    // them at emission (the boundary freeze).
+    // windowed call after it carries none of them, even through the
+    // identity remap, and regenerates exactly the in-window targets.
     let mut store = CandidateStore::new();
     let warm = store.generate(&golden, &sim, &ccfg, None, p, None);
     assert_eq!(warm, full);
-    let n = golden.n_nodes();
-    let identity: Vec<Option<aig::Lit>> = (0..n)
-        .map(|i| Some(aig::Lit::new(aig::NodeId::new(i), false)))
-        .collect();
+    let identity = aig::remap::identity(golden.n_nodes());
+    let before = store.stats();
     let got = store.generate(&golden, &sim, &ccfg, Some(&identity), p, Some(&mask));
-    assert_eq!(got, expected, "carried entries leaked through the window");
+    assert_eq!(
+        got, expected,
+        "warm windowed generation is not a pure filter"
+    );
+    let after = store.stats();
+    assert_eq!(
+        after.carried, before.carried,
+        "a windowed call carried entries"
+    );
+    assert_eq!(
+        after.regenerated - before.regenerated,
+        mask.iter().filter(|&&m| m).count(),
+        "a windowed call must regenerate exactly its window"
+    );
     assert_eq!(
         store.devs().len(),
         expected.len(),
